@@ -217,12 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fliptet",
         description="Flip distances, glued spheres, and minimal tetrahedral decompositions.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; every engine here is single-threaded",
-    )
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     p = sub.add_parser("flip-distance", help="exact flip distance between two polygon files")

@@ -112,12 +112,15 @@ def run_verification(
             _timed("stacked-ball", n, f"{flips} stacked tets form a ball", stack)
         )
 
+        measured: dict[str, int] = {}
+
         def exact_distance():
             if n > distance_max:
                 return f"skipped: exact search is gated at n = {distance_max}", "bounded"
             res = flip_distance(top, bottom, node_budget=node_budget)
             if res.status != "exact":
                 return f"proven >= {res.lower_bound} before the budget ran out", "bounded"
+            measured["distance"] = res.distance
             return str(res.distance), "pass" if res.distance == flips else "fail"
 
         rows.append(
@@ -137,6 +140,7 @@ def run_verification(
         def minimize():
             res = min_tet(tau, stop_at=tets_expected, budget_nodes=tet_node_budget)
             if res.exact:
+                measured["fill"] = res.size
                 return str(res.size), "pass" if res.size == tets_expected else "fail"
             return f"within [{res.lower_bound}, {res.size}]", "bounded"
 
@@ -176,16 +180,14 @@ def run_verification(
             )
         )
 
-        ratio = Fraction(flips, tets_expected)
-        note = "; the gap appears only above this size" if n == 2 else ""
-        rows.append(
-            VerificationRow(
-                "ratio",
-                n,
-                f"(3n+1)/(2n+3) = {ratio}",
-                f"{ratio}{note}",
-                "pass",
-                0.0,
-            )
-        )
+        expected_ratio = Fraction(flips, tets_expected)
+
+        def ratio():
+            if len(measured) < 2:
+                return "skipped: the distance or the fill is not exact", "bounded"
+            got = Fraction(measured["distance"], measured["fill"])
+            note = "; the gap appears only above this size" if n == 2 else ""
+            return f"{got}{note}", "pass" if got == expected_ratio else "fail"
+
+        rows.append(_timed("ratio", n, f"(3n+1)/(2n+3) = {expected_ratio}", ratio))
     return VerificationReport(tuple(rows))

@@ -3,7 +3,8 @@
 Nothing here imports the library's geometry or search code. Crossing is
 decided by exact integer segment intersection on points in convex position,
 and distances come from a plain BFS whose neighbor generation tries every
-candidate insertion instead of computing the quadrilateral.
+candidate insertion instead of computing the quadrilateral. The 1-norm
+bound comes from a floating-point HiGHS solve of every boundary equation.
 """
 
 from __future__ import annotations
@@ -226,3 +227,45 @@ def brute_bad_cycles(v_count: int, triangles: set) -> tuple[set, int, int]:
         if loose_ok:
             loose += 1
     return strict, loose, examined
+
+
+def oracle_l1_min(v_count: int, triangles) -> float:
+    """Minimum 1-norm of a real 3-chain bounding the sphere, by HiGHS.
+
+    The sphere is oriented here by flooding across shared edges, and every
+    vertex 3-subset contributes its equation: no row is dropped.
+    """
+    import numpy as np
+    from scipy.optimize import linprog
+
+    tris = sorted(tuple(sorted(t)) for t in triangles)
+    cyclic = {tris[0]: tris[0]}
+    stack = [tris[0]]
+    while stack:
+        x, y, z = cyclic[stack.pop()]
+        for a, b in ((x, y), (y, z), (z, x)):
+            for u in tris:
+                if u not in cyclic and a in u and b in u:
+                    (c,) = set(u) - {a, b}
+                    cyclic[u] = (b, a, c)  # traverses the shared edge backwards
+                    stack.append(u)
+    faces = list(combinations(range(v_count), 3))
+    row = {f: i for i, f in enumerate(faces)}
+    tets = list(combinations(range(v_count), 4))
+    a_mat = np.zeros((len(faces), len(tets)))
+    for j, t in enumerate(tets):
+        for i in range(4):
+            a_mat[row[t[:i] + t[i + 1 :]], j] = (-1) ** i
+    rhs = np.zeros(len(faces))
+    for u, (x, y, z) in cyclic.items():
+        rhs[row[u]] = 1 if (x < y < z or y < z < x or z < x < y) else -1
+    res = linprog(
+        np.ones(2 * len(tets)),
+        A_eq=np.hstack([a_mat, -a_mat]),
+        b_eq=rhs,
+        bounds=(0, None),
+        method="highs",
+    )
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS did not reach an optimum: {res.message}")
+    return float(res.fun)

@@ -14,6 +14,7 @@ from fliptet.cli import main
 from fliptet.family import bottom_triangulation, top_triangulation
 from fliptet.fileio import emit_polygon, emit_sphere, parse_path, parse_polygon, parse_sphere
 from fliptet.sphere import glue
+from fliptet.verify import run_verification
 
 from fixtures import tetrahedron
 
@@ -197,13 +198,6 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_threads_flag_is_accepted(family_files, capsys):
-    top, bottom = family_files
-    code = main(["--threads", "4", "flip-distance", "--from", str(top), "--to", str(bottom)])
-    assert code == 0
-    assert capsys.readouterr().out.strip() == "distance 7"
-
-
 def test_verify_table(capsys):
     assert main(["verify", "--n-max", "2"]) == 0
     out = capsys.readouterr().out
@@ -219,3 +213,11 @@ def test_verify_json(capsys):
     assert len(rows) == 8
     assert {r["claim"] for r in rows} >= {"explicit-path", "min-tet", "ratio"}
     assert all(r["status"] == "pass" for r in rows)
+
+
+def test_verify_ratio_comes_from_measured_rows():
+    rows = {(r.claim, r.n): r for r in run_verification(n_max=3, distance_max=2).rows}
+    assert rows["ratio", 2].status == "pass"
+    assert rows["ratio", 2].computed.startswith("1;")
+    assert rows["flip-distance", 3].status == "bounded"
+    assert rows["ratio", 3].status == "bounded"

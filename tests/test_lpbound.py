@@ -11,18 +11,21 @@ from fliptet.family import (
     top_triangulation,
 )
 from fliptet.flipdist import BudgetExceeded
+from fliptet import lpbound
 from fliptet.lpbound import (
     chain_boundary,
     decomposition_chain,
+    dual_bound,
     l1_min,
     orient_sphere,
     verify_chain,
 )
 from fliptet.polygon import random_triangulation
-from fliptet.sphere import cone_decomposition, glue
+from fliptet.sphere import cone_decomposition, glue, relabel
 from fliptet.tetdecomp import from_flip_path, min_tet
 
 from fixtures import bipyramid, octahedron, tetrahedron
+from oracles import oracle_l1_min
 
 
 def glued_family(n):
@@ -76,20 +79,29 @@ def test_dual_value_certifies():
         assert sol.dual_value == sol.value
 
 
-def test_orientation_flip_leaves_value_unchanged():
+def test_dual_cochain_bounds_by_summation():
+    for tau in (tetrahedron(), octahedron(), bipyramid(5), glued_family(2)):
+        sol = l1_min(tau)
+        assert dual_bound(tau, sol.dual) == sol.value
+        with pytest.raises(ValueError, match="infeasible"):
+            dual_bound(tau, {f: 2 * y for f, y in sol.dual.items()})
+
+
+def test_relabelling_leaves_value_unchanged():
+    rng = random.Random(79)
     for tau in (octahedron(), glued_family(2)):
-        flipped = {f: -s for f, s in orient_sphere(tau).items()}
-        assert l1_min(tau, orientation=flipped).value == l1_min(tau).value
+        want = l1_min(tau).value
+        for _ in range(3):
+            perm = list(range(tau.vertex_count))
+            rng.shuffle(perm)
+            assert l1_min(relabel(tau, perm)).value == want
 
 
-def test_bland_rule_agrees():
-    assert l1_min(tetrahedron(), rule="bland").value == 1
-    assert l1_min(octahedron(), rule="bland").value == 4
-
-
-def test_unknown_rule_rejected():
-    with pytest.raises(ValueError, match="pivot rule"):
-        l1_min(tetrahedron(), rule="steepest")
+def test_bland_rule_agrees(monkeypatch):
+    monkeypatch.setattr(lpbound, "_STALL_LIMIT", 0)
+    assert l1_min(tetrahedron()).value == 1
+    assert l1_min(octahedron()).value == 4
+    assert l1_min(glued_family(2)).value == 7
 
 
 def test_vertex_guard():
@@ -97,15 +109,9 @@ def test_vertex_guard():
         l1_min(bipyramid(29))
 
 
-def test_bad_orientation_keys_rejected():
-    with pytest.raises(ValueError, match="not a triangle"):
-        l1_min(tetrahedron(), orientation={(0, 1, 9): 1})
-
-
-def test_incoherent_orientation_rejected():
-    all_plus = {f: 1 for f in tetrahedron().triangles}
-    with pytest.raises(ValueError, match="not the boundary"):
-        l1_min(tetrahedron(), orientation=all_plus)
+def test_matches_float_oracle_on_fixtures():
+    for tau in (tetrahedron(), octahedron(), bipyramid(5), glued_family(2)):
+        assert abs(float(l1_min(tau).value) - oracle_l1_min(tau.vertex_count, tau.triangles)) < 1e-7
 
 
 def test_verify_chain_rejects_zero_chain():
@@ -152,3 +158,4 @@ def test_l1_bounds_min_tet_on_random_spheres():
         sol = l1_min(tau)
         assert verify_chain(tau, sol.chain)
         assert sol.value <= min_tet(tau).size
+        assert abs(float(sol.value) - oracle_l1_min(tau.vertex_count, tau.triangles)) < 1e-7
