@@ -129,6 +129,8 @@ def _cmd_lp_bound(args) -> int:
     tau, _ = parse_sphere(_read(args.sphere))
     sol = l1_min(tau)
     print(f"value {sol.value}")
+    print(f"pivots {sol.pivots}")
+    print(f"solved-in {sol.solved_in}")
     if args.emit_chain:
         _deliver(
             emit_chain(tau.vertex_count, sol.chain, comment="minimum 1-norm chain"),

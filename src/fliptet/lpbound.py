@@ -5,17 +5,22 @@ over signed tetrahedron coefficients: minimize the 1-norm of a 3-chain
 on the sphere's vertices whose boundary is the oriented sphere.  Every
 decomposition into tetrahedra is a feasible integral point, so the exact
 optimum is a lower bound for the minimal decomposition size.  The solver
-is a dense simplex over exact rationals started from the cone basis of
-one apex, so it needs no row reduction and no phase 1; no floating
-point is involved anywhere.  The optimum comes with a dual cochain that
-`dual_bound` checks by summation alone.
+is a dense simplex started from the cone basis of one apex, so it needs
+no row reduction and no phase 1.  It pivots in floating point first;
+floats only choose the basis.  The answer is a rational chain and a
+rational dual cochain, returned only when the chain's boundary equals
+the sphere exactly and `dual_bound` proves it optimal by summation.
+When the float answer fails those checks, the same pivots run again in
+exact rationals.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .flipdist import BudgetExceeded
 from .sphere import SphereTriangulation, Triangle, oriented_faces
@@ -28,8 +33,15 @@ MAX_VERTICES = 30
 
 # Dantzig pivoting switches to Bland's rule after this many degenerate
 # pivots in a row, until the objective moves again, so the search cannot
-# cycle.
+# cycle.  The float pass gives up there instead.
 _STALL_LIMIT = 500
+
+# The float pass treats entries and reduced costs below this as zero,
+# gives up after this many pivots per equation row, and rounds its
+# answer to rationals with denominators up to this bound.
+_FLOAT_TOL = 1e-9
+_FLOAT_PIVOTS_PER_ROW = 4
+_MAX_DENOMINATOR = 10**4
 
 
 def _sort_sign(seq) -> tuple[tuple, int]:
@@ -144,7 +156,9 @@ class LPSolution:
     equals `value`, so the pair is an optimality certificate that can be
     checked without the solver.  `status` is "optimal" on every solve
     that returns: infeasibility cannot occur for a valid sphere and
-    oversized inputs raise instead.
+    oversized inputs raise instead.  `pivots` counts the simplex pivots
+    of both passes, and `solved_in` names the pass whose basis was
+    certified, "float" or "fraction".
     """
 
     value: Fraction
@@ -152,35 +166,25 @@ class LPSolution:
     status: str
     dual_value: Fraction
     dual: dict[Triangle, Fraction]
+    pivots: int
+    solved_in: str
 
 
-def l1_min(tau: SphereTriangulation) -> LPSolution:
-    """Minimize the 1-norm of a 3-chain whose boundary is the sphere.
+def _solve(
+    tau: SphereTriangulation, target: dict, num: type, tol: float, cap: int | None
+):
+    """Cone-basis simplex for the 1-norm problem over the number type `num`.
 
-    Variables are a positive and a negative part for every vertex
-    4-subset.  Fix an apex a, the smallest vertex of maximum degree.
-    The C(V-1,3) triangles that avoid a give rank(boundary) independent
-    equations, and every other equation is a combination of them.  Each
-    such triangle f has exactly one cone tet, a+f, whose boundary meets
-    those rows only in f.  Scaling each row so that its right-hand side
-    is >= 0 and picking the part of a+f with coefficient +1 in it makes
-    the cone columns an identity block, a feasible starting basis.
-    Dantzig pivots (largest reduced cost, switching to Bland's rule
-    after a long degenerate stall) run from there to the optimum.  The
-    chain is checked against all C(V,3) equations and the dual cochain
-    by `dual_bound`, so the dropped rows and the optimum are certified.
+    Returns the pivot count and the optimal basic chain and dual cochain
+    in `num`, zeros dropped.  With a tolerance `tol`, entries below it
+    count as zero and are stored as an exact zero; that pass gives up,
+    with None in place of the pair, where Bland's rule would start or
+    after `cap` pivots.
     """
-    tau.require_valid()
     v_count = tau.vertex_count
-    if v_count > MAX_VERTICES:
-        raise BudgetExceeded(
-            f"the 1-norm solve handles at most {MAX_VERTICES} vertices, got {v_count}"
-        )
-    target = {f: Fraction(s) for f, s in orient_sphere(tau).items()}
     deg = tau.degrees()
     apex = min(w for w in range(v_count) if deg[w] == max(deg.values()))
-
-    zero, one = Fraction(0), Fraction(1)
+    zero, one = num(0), num(1)
     faces = [f for f in combinations(range(v_count), 3) if apex not in f]
     tets = list(combinations(range(v_count), 4))
     tid = {t: j for j, t in enumerate(tets)}
@@ -190,15 +194,15 @@ def l1_min(tau: SphereTriangulation) -> LPSolution:
     # columns: plus parts, minus parts, right-hand side
     tableau, basis, row_sign = [], [], []
     for f in faces:
-        b = target.get(f, zero)
+        b = target.get(f, 0)
         sign = -1 if b < 0 else 1
         row = [zero] * (nv + 1)
         for w in range(v_count):
             if w not in f:
                 t = tuple(sorted(f + (w,)))
                 s = sign * (-1) ** t.index(w)
-                row[tid[t]], row[n_t + tid[t]] = Fraction(s), Fraction(-s)
-        row[nv] = sign * b
+                row[tid[t]], row[n_t + tid[t]] = s * one, -s * one
+        row[nv] = abs(b) * one
         cone = tid[tuple(sorted(f + (apex,)))]
         basis.append(cone if row[cone] == one else n_t + cone)
         tableau.append(row)
@@ -210,21 +214,25 @@ def l1_min(tau: SphereTriangulation) -> LPSolution:
     for j in range(nv):
         zrow[j] -= one
 
-    stall = 0
+    stall = pivots = 0
     while True:
         if stall >= _STALL_LIMIT:
+            if tol:
+                return pivots, None
             pc = next((j for j in range(nv) if zrow[j] > 0), None)
         else:
-            pc, best = None, zero
+            pc, best = None, tol
             for j in range(nv):
                 if zrow[j] > best:
                     best, pc = zrow[j], j
         if pc is None:
             break
+        if pivots == cap:
+            return pivots, None
         pr_i, best_ratio = None, None
         for i in range(m):
             a = tableau[i][pc]
-            if a > 0:
+            if a > tol:
                 ratio = tableau[i][nv] / a
                 if (
                     best_ratio is None
@@ -239,6 +247,7 @@ def l1_min(tau: SphereTriangulation) -> LPSolution:
         if prow[pc] != one:
             inv = one / prow[pc]
             tableau[pr_i] = prow = [x * inv for x in prow]
+            prow[pc] = one
         # pivot rows stay mostly zero (about 88% at family n = 3), so only
         # the pivot row's support is updated
         support = [(k, x) for k, x in enumerate(prow) if x]
@@ -247,19 +256,20 @@ def l1_min(tau: SphereTriangulation) -> LPSolution:
             if fct and row is not prow:
                 for k, x in support:
                     row[k] -= fct * x
+                if tol:
+                    for k, _ in support:
+                        if -tol < row[k] < tol:
+                            row[k] = zero
         basis[pr_i] = pc
+        pivots += 1
         stall = stall + 1 if zrow[nv] == before else 0
 
-    chain: dict[Tet, Fraction] = {}
+    chain: dict[Tet, object] = {}
     for i in range(m):
         val = tableau[i][nv]
         if val:
             t = tets[basis[i] % n_t]
             chain[t] = val if basis[i] < n_t else -val
-    value = sum((abs(c) for c in chain.values()), zero)
-    if chain_boundary(chain) != target:
-        raise RuntimeError("the optimal chain does not bound the target")
-
     # row i's multiplier is the reduced cost of its unit-cost identity
     # column plus one; undoing the row scaling gives a cochain on faces
     dual = {
@@ -267,9 +277,77 @@ def l1_min(tau: SphereTriangulation) -> LPSolution:
         for i, f in enumerate(faces)
         if zrow[start[i]] + one
     }
+    return pivots, (chain, dual)
+
+
+def _rational(values: dict) -> dict:
+    """Nearest rationals of bounded denominator, zeros dropped."""
+    rounded = {k: Fraction(x).limit_denominator(_MAX_DENOMINATOR) for k, x in values.items()}
+    return {k: q for k, q in rounded.items() if q}
+
+
+def _certified(
+    tau: SphereTriangulation, target: dict, chain: dict, dual: dict, pivots: int, solved_in: str
+) -> LPSolution:
+    """The solution, once the chain and the dual cochain prove it optimal.
+
+    Raises ValueError unless the chain bounds the target on every
+    triangle and the dual cochain is feasible with `dual_bound` equal to
+    the chain's 1-norm.
+    """
+    if chain_boundary(chain) != target:
+        raise ValueError("the chain does not bound the oriented sphere")
+    value = sum((abs(c) for c in chain.values()), Fraction(0))
     dual_value = dual_bound(tau, dual)
     if dual_value != value:
-        raise RuntimeError("the dual certificate does not match the optimum")
+        raise ValueError("the dual certificate does not match the chain's 1-norm")
     return LPSolution(
-        value=value, chain=chain, status="optimal", dual_value=dual_value, dual=dual
+        value=value,
+        chain=chain,
+        status="optimal",
+        dual_value=dual_value,
+        dual=dual,
+        pivots=pivots,
+        solved_in=solved_in,
     )
+
+
+def l1_min(tau: SphereTriangulation) -> LPSolution:
+    """Minimize the 1-norm of a 3-chain whose boundary is the sphere.
+
+    Variables are a positive and a negative part for every vertex
+    4-subset.  Fix an apex a, the smallest vertex of maximum degree.
+    The C(V-1,3) triangles that avoid a give rank(boundary) independent
+    equations, and every other equation is a combination of them.  Each
+    such triangle f has exactly one cone tet, a+f, whose boundary meets
+    those rows only in f.  Scaling each row so that its right-hand side
+    is >= 0 and picking the part of a+f with coefficient +1 in it makes
+    the cone columns an identity block, a feasible starting basis.
+    Dantzig pivots (largest reduced cost, switching to Bland's rule
+    after a long degenerate stall) run from there to the optimum.
+
+    The pivots run in floating point first, which only chooses the
+    basis: its basic values and duals are rounded to rationals, and the
+    pair is kept only if the chain meets all C(V,3) equations exactly
+    and `dual_bound` of the dual cochain equals the chain's 1-norm.
+    Otherwise, or when the float pass stalls or exceeds its pivot cap,
+    the same pivots run again in exact rationals under the same checks.
+    Every returned number is therefore a certified rational.
+    """
+    tau.require_valid()
+    v_count = tau.vertex_count
+    if v_count > MAX_VERTICES:
+        raise BudgetExceeded(
+            f"the 1-norm solve handles at most {MAX_VERTICES} vertices, got {v_count}"
+        )
+    target = {f: Fraction(s) for f, s in orient_sphere(tau).items()}
+    cap = _FLOAT_PIVOTS_PER_ROW * comb(v_count - 1, 3)
+    pivots, found = _solve(tau, target, float, _FLOAT_TOL, cap)
+    if found is not None:
+        # a rejected candidate, or one no rational can round (an
+        # overflowed float), falls through to the exact pass
+        with suppress(ValueError, OverflowError):
+            chain, dual = (_rational(part) for part in found)
+            return _certified(tau, target, chain, dual, pivots, "float")
+    more, (chain, dual) = _solve(tau, target, Fraction, 0, None)
+    return _certified(tau, target, chain, dual, pivots + more, "fraction")

@@ -118,8 +118,14 @@ class PolygonTriangulation:
     def _apexes(self, d: Diagonal) -> tuple[int, int]:
         # the two triangles adjacent to d meet it at exactly two apexes
         a, b = d
-        adj = self.adjacency()
-        apexes = sorted(adj[a] & adj[b])
+        n = self.n
+        near = {a: {(a + 1) % n, (a - 1) % n}, b: {(b + 1) % n, (b - 1) % n}}
+        for x, y in self.diagonals:
+            if x in near:
+                near[x].add(y)
+            if y in near:
+                near[y].add(x)
+        apexes = sorted(near[a] & near[b])
         if len(apexes) != 2:
             raise ValueError(f"diagonal {d} does not bound two triangles")
         return apexes[0], apexes[1]

@@ -138,7 +138,10 @@ def test_lp_bound_value_and_chain(sphere_file, tmp_path, capsys):
     chain = tmp_path / "chain.txt"
     code = main(["lp-bound", "--sphere", str(sphere_file), "--emit-chain", str(chain)])
     assert code == 0
-    assert capsys.readouterr().out.strip() == "value 7"
+    value, pivots, solved_in = capsys.readouterr().out.splitlines()
+    assert value == "value 7"
+    assert pivots.startswith("pivots ") and int(pivots.split()[1]) > 0
+    assert solved_in == "solved-in float"
     assert chain.read_text().splitlines()[1] == "chain V 8"
 
 

@@ -65,8 +65,10 @@ def test_l1_min_octahedron_meets_the_minimum():
 
 
 def test_l1_min_glued_families():
-    assert l1_min(glued_family(2)).value == 7
-    assert l1_min(glued_family(3)).value == 9
+    for n, want in ((2, 7), (3, 9)):
+        sol = l1_min(glued_family(n))
+        assert sol.value == want
+        assert sol.solved_in == "float"
 
 
 def test_l1_min_pentagonal_bipyramid():
@@ -98,10 +100,44 @@ def test_relabelling_leaves_value_unchanged():
 
 
 def test_bland_rule_agrees(monkeypatch):
+    # with no stall allowance the float pass gives up before its first
+    # pivot, so the exact pass runs Bland's rule from the start
     monkeypatch.setattr(lpbound, "_STALL_LIMIT", 0)
-    assert l1_min(tetrahedron()).value == 1
-    assert l1_min(octahedron()).value == 4
-    assert l1_min(glued_family(2)).value == 7
+    for tau, want in ((tetrahedron(), 1), (octahedron(), 4), (glued_family(2), 7)):
+        sol = l1_min(tau)
+        assert sol.value == want
+        assert sol.solved_in == "fraction"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda chain, dual: ({t: c / 2 for t, c in chain.items()}, dual),
+        lambda chain, dual: (chain, {f: 2 * y for f, y in dual.items()}),
+    ],
+    ids=["halved-chain", "doubled-dual"],
+)
+def test_rejected_float_candidate_falls_back_to_exact_pass(monkeypatch, corrupt):
+    solve = lpbound._solve
+
+    def corrupted(tau, target, num, tol, cap):
+        pivots, found = solve(tau, target, num, tol, cap)
+        if num is float:
+            found = corrupt(*found)
+        return pivots, found
+
+    monkeypatch.setattr(lpbound, "_solve", corrupted)
+    for tau, want in (
+        (tetrahedron(), 1),
+        (octahedron(), 4),
+        (bipyramid(5), 5),
+        (glued_family(2), 7),
+    ):
+        sol = l1_min(tau)
+        assert sol.solved_in == "fraction"
+        assert sol.value == want
+        assert dual_bound(tau, sol.dual) == sol.value
+        assert verify_chain(tau, sol.chain)
 
 
 def test_vertex_guard():
@@ -156,6 +192,7 @@ def test_l1_bounds_min_tet_on_random_spheres():
                 break
         tau = glue(a, b)
         sol = l1_min(tau)
+        assert sol.solved_in == "float"
         assert verify_chain(tau, sol.chain)
         assert sol.value <= min_tet(tau).size
         assert abs(float(sol.value) - oracle_l1_min(tau.vertex_count, tau.triangles)) < 1e-7
