@@ -68,6 +68,8 @@ def _cmd_flip_distance(args) -> int:
         print(f"budget exhausted; distance >= {res.lower_bound}")
         return OVER_BUDGET
     print(f"distance {res.distance}")
+    print(f"nodes {res.stats.nodes}")
+    print(f"frontier-peak {res.stats.frontier_peak}")
     if args.emit_path:
         _deliver(emit_path(res.path, comment="shortest flip path"), args.emit_path)
     return OK

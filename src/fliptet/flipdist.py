@@ -1,10 +1,13 @@
 """Exact flip distances between polygon triangulations.
 
-Three interchangeable engines work on canonical frozenset states: plain
-breadth-first search (with a deterministic witness walk), bidirectional
-BFS (the default), and iterative deepening with the admissible
-set-difference heuristic. Instances are first cut along common
-diagonals, which never changes the distance, only the search size.
+Three interchangeable engines share one move generator on integer
+states, one bit per diagonal of the n-gon: plain breadth-first search
+(with a deterministic witness walk), bidirectional BFS (the default), and
+iterative deepening with the admissible set-difference heuristic. The
+bits are ordered so that int order is the order of sorted diagonal
+tuples, which fixes the expansion order, node counts and witnesses.
+Instances are first cut along common diagonals, which never changes the
+distance, only the search size.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from random import Random
 
 from .polygon import (
@@ -75,8 +79,14 @@ def lower_bound(t1: PolygonTriangulation, t2: PolygonTriangulation) -> int:
 
 # ---------------------------------------------------------------- engines
 #
-# Engine states are frozensets of diagonals; adjacency is rebuilt per
-# state, which is cheap at the polygon sizes exact search can handle.
+# Engine states are ints: diagonal i of the n-gon's diagonals in sorted
+# order is bit D-1-i, with D = n(n-3)/2, so smaller diagonals hold higher
+# bits. Two states of n-3 diagonals each compare, as sorted tuples, at the
+# first place where they differ; the state with the smaller diagonal
+# there holds the highest differing bit. Ascending tuple order is thus
+# descending int order, and highest bit first is ascending diagonal
+# order, so the frontier sort (reverse=True), the meet tie-break (max)
+# and the move order are those of sorted diagonal tuples.
 
 
 class _Budget:
@@ -96,30 +106,49 @@ class _Budget:
                 raise BudgetExceeded("time budget exhausted", lower)
 
 
-def _moves(n: int, state: frozenset) -> list[tuple[Diagonal, Diagonal, frozenset]]:
-    """All flips from a state: (removed, inserted, next state), sorted."""
-    adj: dict[int, set[int]] = {}
-    for v in range(n):
-        adj[v] = {(v + 1) % n, (v - 1) % n}
-    for a, b in state:
-        adj[a].add(b)
-        adj[b].add(a)
+@lru_cache(maxsize=None)
+def _bits(n: int) -> tuple[tuple[Diagonal, ...], dict[int, int], tuple[int, ...]]:
+    """Bit encoding of the n-gon's diagonals, with vertices as masks too:
+    bit position -> endpoints, mask of the two endpoints -> bit, and
+    vertex -> mask of its two polygon neighbours."""
+    diagonals = [
+        (a, b) for a in range(n) for b in range(a + 2, n) if (a, b) != (0, n - 1)
+    ]
+    top = len(diagonals) - 1
+    bit = {(1 << a) | (1 << b): 1 << (top - i) for i, (a, b) in enumerate(diagonals)}
+    ring = tuple((1 << (v + 1) % n) | (1 << (v - 1) % n) for v in range(n))
+    return tuple(reversed(diagonals)), bit, ring
+
+
+def _moves(n: int, state: int) -> list[tuple[int, int, int]]:
+    """All flips from a state: (removed bit, inserted bit, next state),
+    highest removed bit first."""
+    ends, bit, ring = _bits(n)
+    nb = list(ring)
+    present = []
+    rest = state
+    while rest:
+        pos = rest.bit_length() - 1
+        removed = 1 << pos
+        rest ^= removed
+        a, b = ends[pos]
+        nb[a] |= 1 << b
+        nb[b] |= 1 << a
+        present.append((removed, a, b))
     out = []
-    for d in sorted(state):
-        a, b = d
-        x, y = sorted(adj[a] & adj[b])
-        inserted = (x, y)
-        out.append((d, inserted, state - {d} | {inserted}))
+    for removed, a, b in present:
+        # the two common neighbours of a and b are the flip's apexes
+        inserted = bit[nb[a] & nb[b]]
+        out.append((removed, inserted, state ^ removed ^ inserted))
     return out
 
 
 def _walk_witness(
     n: int,
-    start: PolygonTriangulation,
-    source: frozenset,
-    target: frozenset,
-    dist: dict[frozenset, int],
-) -> FlipPath:
+    source: int,
+    target: int,
+    dist: dict[int, int],
+) -> list[tuple[int, int]]:
     # greedy descent over exact distance labels; ties broken by the
     # lexicographically smallest removed diagonal
     steps = []
@@ -133,16 +162,16 @@ def _walk_witness(
                 break
         else:
             raise AssertionError("distance labels admit no descent")
-    return FlipPath(n, start, tuple(steps))
+    return steps
 
 
 def _bfs(
     n: int,
-    source: frozenset,
-    target: frozenset,
+    source: int,
+    target: int,
     budget: _Budget,
     stats: SearchStats,
-) -> dict[frozenset, int]:
+) -> dict[int, int]:
     """Exact distance labels from the target, out to the source's level."""
     dist = {target: 0}
     frontier = [target]
@@ -165,20 +194,20 @@ def _bfs(
 
 def _bidirectional(
     n: int,
-    source: frozenset,
-    target: frozenset,
+    source: int,
+    target: int,
     budget: _Budget,
     stats: SearchStats,
-) -> tuple[int, list[tuple[Diagonal, Diagonal]]]:
+) -> tuple[int, list[tuple[int, int]]]:
     """Meet-in-the-middle BFS; returns distance and witness steps."""
     fdist = {source: 0}
     bdist = {target: 0}
-    fparent: dict[frozenset, tuple] = {}
-    bparent: dict[frozenset, tuple] = {}
+    fparent: dict[int, tuple[int, int, int]] = {}
+    bparent: dict[int, tuple[int, int, int]] = {}
     ffrontier, bfrontier = [source], [target]
     fdepth = bdepth = 0
     best: int | None = None
-    meets: set[frozenset] = set()
+    meets: set[int] = set()
     if source == target:
         return 0, []
 
@@ -190,7 +219,7 @@ def _bidirectional(
     def expand(frontier, dist, parent, other, depth):
         nonlocal best
         nxt = []
-        for state in sorted(frontier, key=sorted):
+        for state in sorted(frontier, reverse=True):
             budget.spend(lower=proven_lower())
             for removed, inserted, new in _moves(n, state):
                 if new not in dist:
@@ -218,8 +247,8 @@ def _bidirectional(
             bfrontier = expand(bfrontier, bdist, bparent, fdist, bdepth)
             bdepth += 1
 
-    meet = min(meets, key=sorted)
-    fore: list[tuple[Diagonal, Diagonal]] = []
+    meet = max(meets)
+    fore: list[tuple[int, int]] = []
     cur = meet
     while cur != source:
         prev, removed, inserted = fparent[cur]
@@ -237,21 +266,22 @@ def _bidirectional(
 
 def _iddfs(
     n: int,
-    source: frozenset,
-    target: frozenset,
+    source: int,
+    target: int,
     budget: _Budget,
     stats: SearchStats,
-) -> tuple[int, list[tuple[Diagonal, Diagonal]]]:
+) -> tuple[int, list[tuple[int, int]]]:
     """Iterative deepening with the set-difference heuristic."""
+    off_target = ~target
 
-    def h(state: frozenset) -> int:
-        return len(state - target)
+    def h(state: int) -> int:
+        return (state & off_target).bit_count()
 
     threshold = h(source)
     on_path = {source}
-    steps: list[tuple[Diagonal, Diagonal]] = []
+    steps: list[tuple[int, int]] = []
 
-    def dfs(state: frozenset, g: int, bound: int) -> int | None:
+    def dfs(state: int, g: int, bound: int) -> int | None:
         budget.spend(lower=threshold)
         f = g + h(state)
         if f > bound:
@@ -294,31 +324,36 @@ def _search_one(
     budget: _Budget,
 ) -> DistanceResult:
     n = t1.n
+    ends, bit, _ = _bits(n)
+    # distinct bits, so each sum is their union
+    source = sum(bit[(1 << a) | (1 << b)] for a, b in t1.diagonals)
+    target = sum(bit[(1 << a) | (1 << b)] for a, b in t2.diagonals)
     stats = SearchStats()
     began = time.monotonic()
+    spent = budget.nodes
     try:
         if strategy == "bfs":
-            dist = _bfs(n, t1.diagonals, t2.diagonals, budget, stats)
-            path = _walk_witness(n, t1, t1.diagonals, t2.diagonals, dist)
-            distance = dist[t1.diagonals]
+            dist = _bfs(n, source, target, budget, stats)
+            steps = _walk_witness(n, source, target, dist)
+            distance = dist[source]
         elif strategy == "bidirectional":
-            distance, steps = _bidirectional(
-                n, t1.diagonals, t2.diagonals, budget, stats
-            )
-            path = FlipPath(n, t1, tuple(steps))
+            distance, steps = _bidirectional(n, source, target, budget, stats)
         elif strategy == "iterative-deepening":
-            distance, steps = _iddfs(n, t1.diagonals, t2.diagonals, budget, stats)
-            path = FlipPath(n, t1, tuple(steps))
+            distance, steps = _iddfs(n, source, target, budget, stats)
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
     except BudgetExceeded as exc:
-        stats.nodes = budget.nodes
-        stats.seconds = time.monotonic() - began
         lo = max(exc.lower_bound, lower_bound(t1, t2))
-        return DistanceResult(None, None, stats, status="budget", lower_bound=lo)
-    stats.nodes = budget.nodes
+        result = DistanceResult(None, None, stats, status="budget", lower_bound=lo)
+    else:
+        path = FlipPath(
+            n, t1, tuple((ends[r.bit_length() - 1], ends[i.bit_length() - 1]) for r, i in steps)
+        )
+        result = DistanceResult(distance, path, stats, lower_bound=distance)
+    # the budget is shared across split regions; count this region's nodes
+    stats.nodes = budget.nodes - spent
     stats.seconds = time.monotonic() - began
-    return DistanceResult(distance, path, stats, lower_bound=distance)
+    return result
 
 
 def _concatenate_region_paths(

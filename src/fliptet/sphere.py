@@ -350,13 +350,16 @@ def recut_min_flip(
         if max_cycles is not None and tried >= max_cycles:
             exhausted = False
             break
-        if deadline is not None and time.monotonic() > deadline:
+        left = None if deadline is None else deadline - time.monotonic()
+        if left is not None and left <= 0:
             exhausted = False
             break
         half_a, half_b, _ = recut(tau, cycle)
         tried += 1
         try:
-            res = flip_distance(half_a, half_b, node_budget=node_budget, time_budget=time_budget)
+            # each search gets only the time left, so the whole call
+            # keeps to its budget
+            res = flip_distance(half_a, half_b, node_budget=node_budget, time_budget=left)
         except BudgetExceeded:
             exhausted = False
             continue

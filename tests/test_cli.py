@@ -55,7 +55,7 @@ def test_flip_distance_prints_value_and_path_replays(family_files, tmp_path, cap
         ["flip-distance", "--from", str(top), "--to", str(bottom), "--emit-path", str(path_file)]
     )
     assert code == 0
-    assert capsys.readouterr().out.strip() == "distance 7"
+    assert capsys.readouterr().out.splitlines() == ["distance 7", "nodes 67", "frontier-peak 35"]
     p = parse_path(path_file.read_text())
     assert len(p) == 7
     assert p.end() == bottom_triangulation(2)

@@ -13,6 +13,7 @@ from fliptet.family import (
     top_triangulation,
 )
 from fliptet.flipdist import (
+    STRATEGIES,
     BudgetExceeded,
     DistanceResult,
     check_flip_count_identity,
@@ -22,7 +23,13 @@ from fliptet.flipdist import (
     flip_distance,
     lower_bound,
 )
-from fliptet.polygon import FlipPath, PolygonTriangulation, pair, random_triangulation
+from fliptet.polygon import (
+    FlipPath,
+    PolygonTriangulation,
+    pair,
+    random_triangulation,
+    split_along,
+)
 
 from oracles import all_triangulations, oracle_flip_distance
 
@@ -65,6 +72,41 @@ def test_distance_family_n2_all_strategies():
         assert res.distance == 7
         assert len(res.path) == 7
         assert res.path.end() == bottom
+
+
+# Search-order pins, read from the frozenset engines: the expansion
+# order decides node counts, frontier peaks and which shortest path is
+# returned, so an engine change that reorders the search fails here.
+FAMILY_PATHS = {
+    2: (((1, 7), (0, 2)), ((2, 7), (0, 3)), ((3, 7), (0, 6)), ((3, 6), (0, 5)),
+        ((3, 5), (0, 4)), ((0, 3), (2, 4)), ((0, 2), (1, 4))),
+    3: (((1, 9), (0, 2)), ((2, 9), (0, 3)), ((3, 9), (0, 4)), ((4, 9), (0, 8)),
+        ((4, 8), (0, 7)), ((4, 7), (0, 6)), ((4, 6), (0, 5)), ((0, 4), (3, 5)),
+        ((0, 3), (2, 5)), ((0, 2), (1, 5))),
+    4: (((1, 11), (0, 2)), ((2, 11), (0, 3)), ((3, 11), (0, 4)), ((4, 11), (0, 5)),
+        ((5, 11), (0, 10)), ((5, 10), (0, 9)), ((5, 9), (0, 8)), ((5, 8), (0, 7)),
+        ((5, 7), (0, 6)), ((0, 5), (4, 6)), ((0, 4), (3, 6)), ((0, 3), (2, 6)),
+        ((0, 2), (1, 6))),
+}
+
+
+@pytest.mark.parametrize(
+    "n, strategy, nodes, frontier_peak",
+    [
+        (2, "bfs", 130, 35),
+        (2, "bidirectional", 67, 35),
+        (2, "iterative-deepening", 50, 1),
+        (3, "bfs", 1425, 329),
+        (3, "bidirectional", 530, 253),
+        (3, "iterative-deepening", 401, 1),
+        (4, "bidirectional", 4849, 2678),
+    ],
+)
+def test_family_search_order_is_pinned(n, strategy, nodes, frontier_peak):
+    res = flip_distance(top_triangulation(n), bottom_triangulation(n), strategy=strategy)
+    assert res.distance == 3 * n + 1
+    assert (res.stats.nodes, res.stats.frontier_peak) == (nodes, frontier_peak)
+    assert res.path.steps == FAMILY_PATHS[n]
 
 
 def test_distance_fan_to_fan_octagon_matches_oracle():
@@ -130,6 +172,27 @@ def test_splitting_never_changes_distance():
         plain = flip_distance(t1, t2, use_splitting=False, strategy="bfs")
         assert split.distance == plain.distance
         assert split.path.end() == t2
+
+
+def test_split_nodes_are_the_sum_of_region_searches():
+    # the regions share one budget; each reports its own nodes, not the
+    # running total, so the merged count equals the regions solved alone
+    rng = random.Random(9)
+    multi = 0
+    for _ in range(40):
+        n = rng.randrange(8, 11)
+        t1 = random_triangulation(n, rng)
+        t2 = random_triangulation(n, rng)
+        regions = split_along(t1, t2)
+        if len(regions) < 2:
+            continue
+        multi += 1
+        for strategy in STRATEGIES:
+            split = flip_distance(t1, t2, strategy=strategy)
+            alone = [flip_distance(a, b, strategy=strategy) for a, b, _ in regions]
+            assert split.stats.nodes == sum(r.stats.nodes for r in alone)
+            assert split.distance == sum(r.distance for r in alone)
+    assert multi >= 5
 
 
 def test_witness_paths_are_deterministic():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -229,6 +230,36 @@ def test_recut_min_flip_cycle_budget():
     assert res.cycles_tried == 4
     assert not res.exhausted
     assert res.distance is not None
+
+
+def test_recut_min_flip_time_budget_is_a_deadline(monkeypatch):
+    # stand-in for recuts whose searches take 0.8 s each: a search given
+    # less time than that uses all of it and runs out of budget
+    import fliptet.flipdist as flipdist
+
+    real = flipdist.flip_distance
+    given = []
+
+    def slow_search(t1, t2, time_budget=None, **kwargs):
+        given.append(time_budget)
+        if time_budget is not None and time_budget < 0.8:
+            time.sleep(max(time_budget, 0.0))
+            return flipdist.DistanceResult(
+                None, None, flipdist.SearchStats(), status="budget"
+            )
+        time.sleep(0.8)
+        return real(t1, t2, **kwargs)
+
+    monkeypatch.setattr(flipdist, "flip_distance", slow_search)
+    began = time.monotonic()
+    res = recut_min_flip(glued_family(2), time_budget=1.0)
+    elapsed = time.monotonic() - began
+    assert not res.exhausted
+    assert res.cycles_tried == 2 and res.distance is not None
+    # the second search gets only what the first left of the budget
+    assert given[0] == pytest.approx(1.0, abs=0.05)
+    assert given[1] < 0.25
+    assert elapsed < 1.25
 
 
 def test_bad_cycles_icosahedron_matches_brute_force():
