@@ -122,6 +122,7 @@ def _cmd_min_tet(args) -> int:
     print(f"lower-bound {res.lower_bound}")
     print(f"status {res.status}")
     print(f"nodes {res.nodes}")
+    print(f"rejected {res.rejected}")
     if args.emit_tets:
         _deliver(emit_tets(res.witness, comment="best decomposition found"), args.emit_tets)
     return OK if res.exact else OVER_BUDGET

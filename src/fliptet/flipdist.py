@@ -271,7 +271,8 @@ def _iddfs(
     budget: _Budget,
     stats: SearchStats,
 ) -> tuple[int, list[tuple[int, int]]]:
-    """Iterative deepening with the set-difference heuristic."""
+    """Iterative deepening with the set-difference heuristic; the frontier
+    peak is the longest path held."""
     off_target = ~target
 
     def h(state: int) -> int:
@@ -294,6 +295,7 @@ def _iddfs(
                 continue
             on_path.add(new)
             steps.append((removed, inserted))
+            stats.frontier_peak = max(stats.frontier_peak, len(on_path))
             sub = dfs(new, g + 1, bound)
             if sub == -1:
                 return -1
@@ -313,7 +315,6 @@ def _iddfs(
             return len(steps), list(steps)
         if outcome is None:
             raise AssertionError("flip graph is connected")
-        stats.frontier_peak = max(stats.frontier_peak, len(on_path))
         threshold = outcome
 
 

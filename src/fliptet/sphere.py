@@ -338,7 +338,7 @@ def recut_min_flip(
     known); `max_cycles` and the search budgets cap the work, and the
     `exhausted` flag records whether the enumeration ran to completion.
     """
-    from .flipdist import BudgetExceeded, flip_distance
+    from .flipdist import flip_distance
 
     deadline = None if time_budget is None else time.monotonic() + time_budget
     best = None
@@ -356,13 +356,9 @@ def recut_min_flip(
             break
         half_a, half_b, _ = recut(tau, cycle)
         tried += 1
-        try:
-            # each search gets only the time left, so the whole call
-            # keeps to its budget
-            res = flip_distance(half_a, half_b, node_budget=node_budget, time_budget=left)
-        except BudgetExceeded:
-            exhausted = False
-            continue
+        # each search gets only the time left, so the whole call keeps to
+        # its budget; a stopped search returns no distance
+        res = flip_distance(half_a, half_b, node_budget=node_budget, time_budget=left)
         if res.distance is None:
             exhausted = False
             continue

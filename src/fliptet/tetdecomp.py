@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil
+from math import ceil, inf
 
 from .polygon import PolygonTriangulation, FlipPath
 from .sphere import SphereTriangulation, CycleInSphere, Triangle, Edge, glue
@@ -390,7 +390,8 @@ class MinTetResult:
 
     `size` is the best validated decomposition found and `lower_bound` the
     best proven floor; `exact` means the two meet or the search ran to
-    completion, so `size` is the true minimum.
+    completion, so `size` is the true minimum.  `rejected` counts the
+    parity-complete candidates that failed the ball checks.
     """
 
     size: int
@@ -400,6 +401,7 @@ class MinTetResult:
     exact: bool
     nodes: int
     complete: bool
+    rejected: int
 
     @property
     def status(self) -> str:
@@ -426,6 +428,17 @@ def min_tet(
     parity but fail the ball checks are rejected and the search continues.
     Decompositions use only the sphere's vertices.
 
+    Triangles and 4-subsets are bits in lexicographic order.  A node holds
+    masks of the needy triangles, of the tetrahedra blocked by a saturated
+    face (a covered sphere triangle, or an interior one covered twice) and
+    of the chosen tetrahedra, and the count of uncovered sphere triangles;
+    children are built from these, so nothing is undone.  The neediest
+    triangle is the lowest one with the fewest free extenders, which are
+    tried lowest bit first: the order of a scan over sorted triangles and
+    4-subsets, so node counts and witnesses do not depend on the encoding.
+    A child that fails the bound counts as a node, against `budget_nodes`
+    too, but is not entered.
+
     `budget_tets` caps the size searched for, `budget_nodes` the explored
     nodes, and `stop_at` ends the search once a decomposition at or below
     that size is validated; results found under an interrupted search are
@@ -444,96 +457,78 @@ def min_tet(
     best_tets = cone.tets
     best = len(cone)
 
-    all_faces = list(combinations(range(v_count), 3))
-    fid = {f: i for i, f in enumerate(all_faces)}
-    is_tau = [f in tau.triangles for f in all_faces]
+    fid = {f: i for i, f in enumerate(combinations(range(v_count), 3))}
+    sphere = sum(1 << fid[f] for f in tau.triangles)
     all_tets = list(combinations(range(v_count), 4))
-    tet_faces = [
-        [fid[t[:i] + t[i + 1 :]] for i in range(4)] for t in all_tets
-    ]
-    extenders: list[list[int]] = [[] for _ in all_faces]
+    tet_faces = [[fid[t[:i] + t[i + 1 :]] for i in range(4)] for t in all_tets]
+    ext = [0] * len(fid)  # per triangle: the tetrahedra that extend it
     for ti, fs in enumerate(tet_faces):
         for f in fs:
-            extenders[f].append(ti)
-    k0 = max(sum(1 for f in fs if is_tau[f]) for fs in tet_faces)
+            ext[f] |= 1 << ti
+    fmask = [sum(1 << f for f in fs) for fs in tet_faces]
+    ntau = [(m & sphere).bit_count() for m in fmask]
+    k0 = max(ntau)
 
-    count = [0] * len(all_faces)
-    blocked = [0] * len(all_tets)
-    used = [False] * len(all_tets)
-    deficient = {i for i, t in enumerate(is_tau) if t}
-    remaining = len(tau.triangles)
-    nodes = 0
+    nodes = 1  # the root
+    rejected = 0
     complete = True
-    cap = best if budget_tets is None else min(best, budget_tets + 1)
+    max_nodes = inf if budget_nodes is None else budget_nodes
+    # sizes at or above this are pruned: the incumbent, or the size cap
+    limit = best if budget_tets is None else min(best, budget_tets + 1)
 
-    def apply(ti: int, direction: int) -> None:
-        nonlocal remaining
-        used[ti] = direction > 0
-        for f in tet_faces[ti]:
-            count[f] += direction
-            c = count[f]
-            if is_tau[f]:
-                if c == 1:
-                    deficient.discard(f)
-                    remaining -= 1
-                    for t2 in extenders[f]:
-                        blocked[t2] += 1
-                else:
-                    deficient.add(f)
-                    remaining += 1
-                    for t2 in extenders[f]:
-                        blocked[t2] -= 1
-            else:
-                if c == 1:
-                    if direction > 0:
-                        deficient.add(f)
-                    else:
-                        deficient.add(f)
-                        for t2 in extenders[f]:
-                            blocked[t2] -= 1
-                elif c == 2:
-                    deficient.discard(f)
-                    for t2 in extenders[f]:
-                        blocked[t2] += 1
-                else:
-                    deficient.discard(f)
-
-    def dfs(depth: int) -> None:
-        nonlocal nodes, best, best_tets, complete
-        nodes += 1
-        if budget_nodes is not None and nodes > budget_nodes:
-            complete = False
-            raise _SearchStop
-        threshold = min(best, cap)
-        if depth + (remaining + k0 - 1) // k0 >= threshold:
-            return
+    def dfs(depth: int, deficient: int, blocked: int, used: int, remaining: int) -> None:
+        nonlocal nodes, best, best_tets, limit, complete, rejected
         if not deficient:
-            tets = frozenset(
-                all_tets[i] for i, u in enumerate(used) if u
-            )
-            if _ball_violation(tau, tets) is None:
-                best = depth
-                best_tets = tets
-                if stop_at is not None and best <= stop_at:
-                    complete = False
-                    raise _SearchStop
+            tets = frozenset(t for i, t in enumerate(all_tets) if used >> i & 1)
+            if _ball_violation(tau, tets) is not None:
+                rejected += 1
+                return
+            best = limit = depth
+            best_tets = tets
+            if stop_at is not None and best <= stop_at:
+                complete = False
+                raise _SearchStop
             return
-        pick, candidates = None, None
-        for f in sorted(deficient):
-            cands = [
-                t for t in extenders[f] if not used[t] and blocked[t] == 0
-            ]
-            if candidates is None or len(cands) < len(candidates):
-                pick, candidates = f, cands
-                if not cands:
+        # the first triangle with the fewest candidates, as a sorted scan
+        free = ~(blocked | used)
+        candidates, fewest = 0, len(all_tets) + 1
+        d = deficient
+        while d:
+            low = d & -d
+            cands = ext[low.bit_length() - 1] & free
+            count = cands.bit_count()
+            if count < fewest:
+                if not count:
                     return
-        for ti in candidates:
-            apply(ti, 1)
-            dfs(depth + 1)
-            apply(ti, -1)
+                candidates, fewest = cands, count
+            d ^= low
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            ti = bit.bit_length() - 1
+            nodes += 1
+            if nodes > max_nodes:
+                complete = False
+                raise _SearchStop
+            left = remaining - ntau[ti]
+            if depth + 1 + (left + k0 - 1) // k0 >= limit:
+                continue
+            # a free tetrahedron's needy faces are its sphere faces, all
+            # uncovered, and its interior faces covered once: all saturate
+            child_blocked = blocked
+            s = deficient & fmask[ti]
+            while s:
+                low = s & -s
+                child_blocked |= ext[low.bit_length() - 1]
+                s ^= low
+            dfs(depth + 1, deficient ^ fmask[ti], child_blocked, used | bit, left)
 
+    remaining = len(tau.triangles)
     try:
-        dfs(0)
+        if nodes > max_nodes:
+            complete = False
+        elif (remaining + k0 - 1) // k0 < limit:
+            dfs(0, sphere, 0, 0, remaining)
     except _SearchStop:
         pass
 
@@ -557,6 +552,7 @@ def min_tet(
         exact=exact,
         nodes=nodes,
         complete=complete,
+        rejected=rejected,
     )
 
 

@@ -5,11 +5,13 @@ decided by exact integer segment intersection on points in convex position,
 and distances come from a plain BFS whose neighbor generation tries every
 candidate insertion instead of computing the quadrilateral. The 1-norm
 bound comes from a floating-point HiGHS solve of every boundary equation.
+The minimum fill enumerates sets of 4-subsets by size and calls the
+library only to validate, as a ball, a set that meets the face parity.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 
 
@@ -269,3 +271,37 @@ def oracle_l1_min(v_count: int, triangles) -> float:
     if res.status != 0:
         raise RuntimeError(f"HiGHS did not reach an optimum: {res.message}")
     return float(res.fun)
+
+
+def oracle_min_fill(v_count: int, triangles) -> int:
+    """Fewest vertex 4-subsets that fill the sphere, by trying every set.
+
+    Sets are tried by increasing size k; a set fills the sphere when each
+    sphere triangle lies in exactly one of its 4-subsets, every other
+    triangle in none or two, and the library's `validate_ball` accepts it.
+    """
+    from fliptet.sphere import SphereTriangulation
+    from fliptet.tetdecomp import TetDecomposition, validate_ball
+
+    tau = SphereTriangulation.of(v_count, triangles)
+    tets = list(combinations(range(v_count), 4))
+    # face parity first: a set's faces of odd count must be the sphere's
+    index = {f: i for i, f in enumerate(combinations(range(v_count), 3))}
+    odd = {t: sum(1 << index[f] for f in combinations(t, 3)) for t in tets}
+    sphere = sum(1 << index[f] for f in tau.triangles)
+    for k in range(1, len(tets) + 1):
+        for chosen in combinations(tets, k):
+            parity = 0
+            for t in chosen:
+                parity ^= odd[t]
+            if parity != sphere:
+                continue
+            counts = Counter(f for t in chosen for f in combinations(t, 3))
+            if any(c > 2 for c in counts.values()):
+                continue
+            try:
+                validate_ball(tau, TetDecomposition.of(v_count, chosen))
+            except ValueError:
+                continue
+            return k
+    raise AssertionError("the cone over a vertex always fills the sphere")

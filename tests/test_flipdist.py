@@ -95,10 +95,10 @@ FAMILY_PATHS = {
     [
         (2, "bfs", 130, 35),
         (2, "bidirectional", 67, 35),
-        (2, "iterative-deepening", 50, 1),
+        (2, "iterative-deepening", 50, 8),
         (3, "bfs", 1425, 329),
         (3, "bidirectional", 530, 253),
-        (3, "iterative-deepening", 401, 1),
+        (3, "iterative-deepening", 401, 11),
         (4, "bidirectional", 4849, 2678),
     ],
 )

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 
 from fliptet.family import (
@@ -8,8 +10,9 @@ from fliptet.family import (
     fan,
     top_triangulation,
 )
-from fliptet.polygon import FlipPath, PolygonTriangulation
+from fliptet.polygon import FlipPath, PolygonTriangulation, random_triangulation
 from fliptet.sphere import CycleInSphere, cone_decomposition, double_disk_sphere, glue
+from fliptet import tetdecomp
 from fliptet.tetdecomp import (
     TetDecomposition,
     counting_lower_bound,
@@ -23,6 +26,7 @@ from fliptet.tetdecomp import (
 )
 
 from fixtures import bipyramid, icosahedron, octahedron, tetrahedron
+from oracles import oracle_min_fill
 
 
 def glued_family(n):
@@ -235,6 +239,70 @@ def test_min_tet_stop_at_meets_counting_bound():
     assert res.exact  # the counting bound alone certifies 11
     assert res.lower_bound == 11
     validate_ball(tau, res.witness)
+
+
+FAMILY_TWO_FILL = frozenset({
+    (0, 1, 2, 4), (0, 1, 2, 7), (0, 2, 3, 4), (0, 2, 3, 7),
+    (0, 3, 4, 5), (0, 3, 5, 6), (0, 3, 6, 7),
+})
+
+
+@pytest.mark.parametrize("n, size, nodes", [(2, 7, 28), (3, 9, 558), (4, 11, 1929)])
+def test_min_tet_search_order_is_pinned(n, size, nodes):
+    res = min_tet(glued_family(n))
+    assert (res.size, res.nodes) == (size, nodes)
+    assert res.complete and res.exact and res.lower_bound == size
+    if n == 2:
+        assert res.witness.tets == FAMILY_TWO_FILL
+
+
+@pytest.mark.parametrize(
+    "kwargs, size, nodes, complete, exact",
+    [
+        ({"budget_nodes": 300}, 13, 301, False, False),
+        ({"budget_tets": 10}, 13, 56, True, False),
+        ({"stop_at": 12}, 12, 1356, False, False),
+    ],
+)
+def test_min_tet_budgeted_search_is_pinned(kwargs, size, nodes, complete, exact):
+    res = min_tet(glued_family(4), **kwargs)
+    assert (res.size, res.nodes, res.complete, res.exact) == (size, nodes, complete, exact)
+    assert res.lower_bound == 11
+    validate_ball(glued_family(4), res.witness)
+
+
+def test_min_tet_counts_rejected_candidates(monkeypatch):
+    # the first call checks the cone incumbent; refuse the next, the
+    # search's first parity-complete candidate
+    check = tetdecomp._ball_violation
+    calls = []
+
+    def refuse_first_candidate(tau, tets):
+        calls.append(tets)
+        return "refused" if len(calls) == 2 else check(tau, tets)
+
+    monkeypatch.setattr(tetdecomp, "_ball_violation", refuse_first_candidate)
+    tau = glued_family(3)
+    res = min_tet(tau)
+    # the refused 9-tetrahedron fill is the only one, so the cone stands
+    assert (res.rejected, res.size, res.nodes) == (1, 10, 750)
+    assert len(calls[1]) == 9
+    validate_ball(tau, res.witness)
+
+
+def test_min_tet_matches_fill_oracle_on_random_spheres():
+    rng = Random(31)
+    checked = 0
+    while checked < 30:
+        m = rng.randrange(5, 8)
+        a, b = random_triangulation(m, rng), random_triangulation(m, rng)
+        if a.diagonals & b.diagonals:
+            continue
+        tau = glue(a, b)
+        res = min_tet(tau)
+        assert res.exact and res.rejected == 0
+        assert res.size == oracle_min_fill(tau.vertex_count, tau.triangles)
+        checked += 1
 
 
 def test_paired_cone_on_seamed_sphere():
