@@ -358,30 +358,27 @@ def is_bipyramid(tau: SphereTriangulation) -> bool:
 def counting_lower_bound(tau: SphereTriangulation) -> int:
     """A lower bound on the decomposition size from face counting.
 
-    Every tetrahedron absorbs at most 2 sphere triangles (4 when 4-subsets
-    carrying 3+ triangles exist), giving ceil(F/2) or ceil(F/4).  When F
-    is even, hitting F/2 would force every tetrahedron to carry exactly 2
-    adjacent sphere triangles; if additionally every such 4-subset has its
-    opposite edge off the sphere, Euler arithmetic leaves exactly one
-    interior edge shared by all tetrahedra, which shapes the sphere into a
-    bipyramid.  When it is not one, the bound improves to F/2 + 1.
+    A ball of T tetrahedra whose V vertices all lie on the sphere has
+    T = V - 3 + E_i, with E_i interior edges (see `min_tet`), and the
+    sphere has F = 2V - 4 triangles.  When some 4 vertices carry 3 or more
+    sphere triangles, one tetrahedron can absorb 4 of them and the bound
+    is ceil(F/4).  Otherwise each absorbs at most 2, so T >= F/2 = V - 2,
+    which is E_i >= 1.  With E_i = 1, T = F/2 and every tetrahedron
+    carries two sphere triangles on a common edge.  If the edge opposite
+    that one in their 4-subset is never a sphere edge, it is the one
+    interior edge, every tetrahedron contains it, and the sphere is a
+    bipyramid around it.  Off the bipyramid, then, E_i >= 2 and the bound
+    is V - 1.
     """
     tau.require_valid()
-    f_count = tau.face_count()
-    ok, _ = no_three_face_tet(tau)
-    if not ok:
-        return ceil(f_count / 4)
-    base = ceil(f_count / 2)
-    if f_count % 2 != 0:
-        return base
+    if not no_three_face_tet(tau)[0]:
+        return ceil(tau.face_count() / 4)
     edges = tau.edges()
-    for e, (f1, f2) in sorted(tau.edge_faces().items()):
-        opposite = tuple(sorted(set(f1) ^ set(f2)))
-        if opposite in edges:
-            return base
-    if is_bipyramid(tau):
-        return base
-    return base + 1
+    if any(
+        tuple(sorted(set(f1) ^ set(f2))) in edges for f1, f2 in tau.edge_faces().values()
+    ) or is_bipyramid(tau):
+        return tau.vertex_count - 2  # E_i >= 1
+    return tau.vertex_count - 1  # E_i >= 2
 
 
 @dataclass(frozen=True)
@@ -423,21 +420,31 @@ def min_tet(
     Branch and bound over all vertex 4-subsets: repeatedly pick the
     neediest triangle (a sphere triangle not yet covered, or an interior
     triangle covered once), branch on the tetrahedra that can still extend
-    it, and prune with ceil(remaining/k) where k is the most sphere
-    triangles any tetrahedron absorbs.  Candidates that complete the face
-    parity but fail the ball checks are rejected and the search continues.
-    Decompositions use only the sphere's vertices.
+    it, and prune with the larger of two floors on any completion.  The
+    first is depth + ceil(remaining/k), where k is the most sphere
+    triangles any tetrahedron absorbs.  The second is Euler's count
+    T = V - 3 + E_i for a ball of T tetrahedra with E_i interior edges and
+    all V vertices on its boundary: with chi = 1, 4T = 2F - F_b,
+    E_b = 3F_b/2 and V = 2 + F_b/2, V - E + F - T = 1 reduces to it.  A
+    chosen tetrahedron's edges that are not sphere edges are interior in
+    every ball containing it, since that ball's boundary is the sphere, so
+    a completion needs at least V - 3 + (such edges chosen so far)
+    tetrahedra.  Candidates that complete the face parity but fail the
+    ball checks are rejected and the search continues; the Euler floor
+    may cut non-balls early, which loses nothing.  Decompositions use only
+    the sphere's vertices.
 
     Triangles and 4-subsets are bits in lexicographic order.  A node holds
     masks of the needy triangles, of the tetrahedra blocked by a saturated
-    face (a covered sphere triangle, or an interior one covered twice) and
-    of the chosen tetrahedra, and the count of uncovered sphere triangles;
-    children are built from these, so nothing is undone.  The neediest
-    triangle is the lowest one with the fewest free extenders, which are
-    tried lowest bit first: the order of a scan over sorted triangles and
-    4-subsets, so node counts and witnesses do not depend on the encoding.
-    A child that fails the bound counts as a node, against `budget_nodes`
-    too, but is not entered.
+    face (a covered sphere triangle, or an interior one covered twice), of
+    the chosen tetrahedra and of their non-sphere edges (edges are bits in
+    lexicographic order of vertex pairs), and the count of uncovered
+    sphere triangles; children are built from these, so nothing is
+    undone.  The neediest triangle is the lowest one with the fewest free
+    extenders, which are tried lowest bit first: the order of a scan over
+    sorted triangles and 4-subsets, so node counts and witnesses do not
+    depend on the encoding.  A child that fails either floor counts as a
+    node, against `budget_nodes` too, but is not entered.
 
     `budget_tets` caps the size searched for, `budget_nodes` the explored
     nodes, and `stop_at` ends the search once a decomposition at or below
@@ -468,6 +475,12 @@ def min_tet(
     fmask = [sum(1 << f for f in fs) for fs in tet_faces]
     ntau = [(m & sphere).bit_count() for m in fmask]
     k0 = max(ntau)
+    eid = {e: i for i, e in enumerate(combinations(range(v_count), 2))}
+    sphere_edges = sum(1 << eid[e] for e in tau.edges())
+    emask = [  # per tetrahedron: its edges that are not sphere edges
+        sum(1 << eid[e] for e in combinations(t, 2)) & ~sphere_edges for t in all_tets
+    ]
+    euler = v_count - 3  # tetrahedra of a ball with no interior edge
 
     nodes = 1  # the root
     rejected = 0
@@ -476,7 +489,9 @@ def min_tet(
     # sizes at or above this are pruned: the incumbent, or the size cap
     limit = best if budget_tets is None else min(best, budget_tets + 1)
 
-    def dfs(depth: int, deficient: int, blocked: int, used: int, remaining: int) -> None:
+    def dfs(
+        depth: int, deficient: int, blocked: int, used: int, remaining: int, inner: int
+    ) -> None:
         nonlocal nodes, best, best_tets, limit, complete, rejected
         if not deficient:
             tets = frozenset(t for i, t in enumerate(all_tets) if used >> i & 1)
@@ -511,7 +526,8 @@ def min_tet(
                 complete = False
                 raise _SearchStop
             left = remaining - ntau[ti]
-            if depth + 1 + (left + k0 - 1) // k0 >= limit:
+            child_inner = inner | emask[ti]
+            if max(depth + 1 + (left + k0 - 1) // k0, euler + child_inner.bit_count()) >= limit:
                 continue
             # a free tetrahedron's needy faces are its sphere faces, all
             # uncovered, and its interior faces covered once: all saturate
@@ -521,27 +537,27 @@ def min_tet(
                 low = s & -s
                 child_blocked |= ext[low.bit_length() - 1]
                 s ^= low
-            dfs(depth + 1, deficient ^ fmask[ti], child_blocked, used | bit, left)
+            dfs(depth + 1, deficient ^ fmask[ti], child_blocked, used | bit, left, child_inner)
 
     remaining = len(tau.triangles)
     try:
         if nodes > max_nodes:
             complete = False
-        elif (remaining + k0 - 1) // k0 < limit:
-            dfs(0, sphere, 0, 0, remaining)
+        elif max((remaining + k0 - 1) // k0, euler) < limit:
+            dfs(0, sphere, 0, 0, remaining, 0)
     except _SearchStop:
         pass
 
-    counting = counting_lower_bound(tau)
+    floor = max(counting_lower_bound(tau), euler)
     if complete and (budget_tets is None or best <= budget_tets):
         lower = best
         exact = True
     elif complete:
         # the capped search was exhausted: nothing at or under the cap
-        lower = max(counting, budget_tets + 1)
+        lower = max(floor, budget_tets + 1)
         exact = best == lower
     else:
-        lower = counting
+        lower = floor
         exact = best == lower
     witness = TetDecomposition(v_count, best_tets)
     return MinTetResult(

@@ -111,7 +111,7 @@ def test_min_tet_exact_and_witness_validates(sphere_file, tmp_path, capsys):
     code = main(["min-tet", "--sphere", str(sphere_file), "--emit-tets", str(tets)])
     assert code == 0
     out = capsys.readouterr().out.splitlines()
-    assert out == ["size 7", "lower-bound 7", "status exact", "nodes 28", "rejected 0"]
+    assert out == ["size 7", "lower-bound 7", "status exact", "nodes 22", "rejected 0"]
     assert main(["validate", "--sphere", str(sphere_file), "--tets", str(tets)]) == 0
     assert capsys.readouterr().out.startswith("ok: 8 vertices")
 

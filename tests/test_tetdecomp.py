@@ -247,7 +247,9 @@ FAMILY_TWO_FILL = frozenset({
 })
 
 
-@pytest.mark.parametrize("n, size, nodes", [(2, 7, 28), (3, 9, 558), (4, 11, 1929)])
+@pytest.mark.parametrize(
+    "n, size, nodes", [(2, 7, 22), (3, 9, 152), (4, 11, 477)], ids=["n2", "n3", "n4"]
+)
 def test_min_tet_search_order_is_pinned(n, size, nodes):
     res = min_tet(glued_family(n))
     assert (res.size, res.nodes) == (size, nodes)
@@ -259,10 +261,11 @@ def test_min_tet_search_order_is_pinned(n, size, nodes):
 @pytest.mark.parametrize(
     "kwargs, size, nodes, complete, exact",
     [
-        ({"budget_nodes": 300}, 13, 301, False, False),
-        ({"budget_tets": 10}, 13, 56, True, False),
-        ({"stop_at": 12}, 12, 1356, False, False),
+        ({"budget_nodes": 300}, 12, 301, False, False),
+        ({"budget_tets": 10}, 13, 42, True, False),
+        ({"stop_at": 12}, 12, 257, False, False),
     ],
+    ids=["budget_nodes", "budget_tets", "stop_at"],
 )
 def test_min_tet_budgeted_search_is_pinned(kwargs, size, nodes, complete, exact):
     res = min_tet(glued_family(4), **kwargs)
@@ -285,7 +288,7 @@ def test_min_tet_counts_rejected_candidates(monkeypatch):
     tau = glued_family(3)
     res = min_tet(tau)
     # the refused 9-tetrahedron fill is the only one, so the cone stands
-    assert (res.rejected, res.size, res.nodes) == (1, 10, 750)
+    assert (res.rejected, res.size, res.nodes) == (1, 10, 162)
     assert len(calls[1]) == 9
     validate_ball(tau, res.witness)
 
@@ -303,6 +306,60 @@ def test_min_tet_matches_fill_oracle_on_random_spheres():
         assert res.exact and res.rejected == 0
         assert res.size == oracle_min_fill(tau.vertex_count, tau.triangles)
         checked += 1
+
+
+def _euler_count(tau, d):
+    # V - 3 + interior edges: the size of any ball with all vertices on tau
+    return tau.vertex_count - 3 + len(d.edges() - tau.edges())
+
+
+def test_euler_count_gives_the_size_of_every_ball():
+    for n in range(2, 6):
+        tau = glued_family(n)
+        witness = min_tet(tau).witness
+        assert len(witness) == _euler_count(tau, witness) == 2 * n + 3
+    for n in range(2, 5):
+        assert len(family_stack(n)) == _euler_count(glued_family(n), family_stack(n))
+    rng = Random(5)
+    spheres = [octahedron()]
+    while len(spheres) < 13:
+        m = rng.randrange(6, 11)
+        a, b = random_triangulation(m, rng), random_triangulation(m, rng)
+        if not a.diagonals & b.diagonals:
+            spheres.append(glue(a, b))
+    for tau in spheres:
+        for apex in range(tau.vertex_count):
+            cone = cone_decomposition(tau, apex)
+            assert len(cone) == _euler_count(tau, cone)
+
+
+def thirteen_gon_spheres():
+    rng = Random("13-gons")
+    spheres = []
+    while len(spheres) < 6:
+        a, b = random_triangulation(13, rng), random_triangulation(13, rng)
+        if not a.diagonals & b.diagonals:
+            spheres.append(glue(a, b))
+    return spheres
+
+
+def test_min_tet_finishes_on_random_thirteen_gons():
+    sizes = []
+    for tau in thirteen_gon_spheres():
+        res = min_tet(tau, budget_nodes=20_000)
+        assert res.complete and res.exact
+        validate_ball(tau, res.witness)
+        sizes.append(res.size)
+    assert sizes == [10, 12, 12, 10, 14, 15]
+
+
+def test_interrupted_min_tet_reports_the_euler_floor():
+    tau = thirteen_gon_spheres()[5]
+    assert not no_three_face_tet(tau)[0]
+    assert counting_lower_bound(tau) == 6  # ceil(F/4)
+    res = min_tet(tau, budget_nodes=5)
+    assert not res.complete
+    assert res.lower_bound == tau.vertex_count - 3 == 10
 
 
 def test_paired_cone_on_seamed_sphere():
