@@ -33,6 +33,14 @@ def glued_family(n):
     return glue(top_triangulation(n), bottom_triangulation(n))
 
 
+def glued_random(m, rng):
+    # two random triangulations of the m-gon that share no diagonal
+    while True:
+        a, b = random_triangulation(m, rng), random_triangulation(m, rng)
+        if not a.diagonals & b.diagonals:
+            return glue(a, b)
+
+
 def family_stack(n):
     return from_flip_path(
         top_triangulation(n), bottom_triangulation(n), explicit_flip_path(n)
@@ -321,12 +329,7 @@ def test_euler_count_gives_the_size_of_every_ball():
     for n in range(2, 5):
         assert len(family_stack(n)) == _euler_count(glued_family(n), family_stack(n))
     rng = Random(5)
-    spheres = [octahedron()]
-    while len(spheres) < 13:
-        m = rng.randrange(6, 11)
-        a, b = random_triangulation(m, rng), random_triangulation(m, rng)
-        if not a.diagonals & b.diagonals:
-            spheres.append(glue(a, b))
+    spheres = [octahedron()] + [glued_random(rng.randrange(6, 11), rng) for _ in range(12)]
     for tau in spheres:
         for apex in range(tau.vertex_count):
             cone = cone_decomposition(tau, apex)
@@ -335,12 +338,7 @@ def test_euler_count_gives_the_size_of_every_ball():
 
 def thirteen_gon_spheres():
     rng = Random("13-gons")
-    spheres = []
-    while len(spheres) < 6:
-        a, b = random_triangulation(13, rng), random_triangulation(13, rng)
-        if not a.diagonals & b.diagonals:
-            spheres.append(glue(a, b))
-    return spheres
+    return [glued_random(13, rng) for _ in range(6)]
 
 
 def test_min_tet_finishes_on_random_thirteen_gons():
