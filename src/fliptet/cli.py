@@ -23,7 +23,7 @@ from .fileio import (
     parse_sphere,
     parse_tets,
 )
-from .flipdist import STRATEGIES, BudgetExceeded, flip_distance
+from .flipdist import BudgetExceeded, flip_distance
 from .lpbound import l1_min
 from .render import render_path, render_polygon, render_sphere
 from .sphere import (
@@ -59,7 +59,6 @@ def _cmd_flip_distance(args) -> int:
     res = flip_distance(
         t1,
         t2,
-        strategy=args.strategy,
         use_splitting=not args.no_split,
         node_budget=args.node_budget,
         time_budget=args.time_budget,
@@ -227,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flip-distance", help="exact flip distance between two polygon files")
     p.add_argument("--from", dest="from_file", required=True, metavar="FILE")
     p.add_argument("--to", dest="to_file", required=True, metavar="FILE")
-    p.add_argument("--strategy", choices=sorted(STRATEGIES), default="bidirectional")
     p.add_argument("--no-split", action="store_true", help="do not split along common diagonals")
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--time-budget", type=float, default=None)

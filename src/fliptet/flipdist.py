@@ -1,13 +1,11 @@
 """Exact flip distances between polygon triangulations.
 
-Three interchangeable engines share one move generator on integer
-states, one bit per diagonal of the n-gon: plain breadth-first search
-(with a deterministic witness walk), bidirectional BFS (the default), and
-iterative deepening with the admissible set-difference heuristic. The
-bits are ordered so that int order is the order of sorted diagonal
-tuples, which fixes the expansion order, node counts and witnesses.
-Instances are first cut along common diagonals, which never changes the
-distance, only the search size.
+One engine, a bidirectional breadth-first search, runs on integer
+states, one bit per diagonal of the n-gon. The bits are ordered so that
+int order is the order of sorted diagonal tuples, which fixes the
+expansion order, node counts and witnesses. Instances are first cut
+along common diagonals, which never changes the distance, only the
+search size.
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ from .polygon import (
     random_triangulation,
     split_along,
 )
-
-STRATEGIES = ("bfs", "bidirectional", "iterative-deepening")
 
 
 class BudgetExceeded(RuntimeError):
@@ -77,9 +73,9 @@ def lower_bound(t1: PolygonTriangulation, t2: PolygonTriangulation) -> int:
     return len(t1.diagonals - t2.diagonals)
 
 
-# ---------------------------------------------------------------- engines
+# ----------------------------------------------------------------- engine
 #
-# Engine states are ints: diagonal i of the n-gon's diagonals in sorted
+# Search states are ints: diagonal i of the n-gon's diagonals in sorted
 # order is bit D-1-i, with D = n(n-3)/2, so smaller diagonals hold higher
 # bits. Two states of n-3 diagonals each compare, as sorted tuples, at the
 # first place where they differ; the state with the smaller diagonal
@@ -143,55 +139,6 @@ def _moves(n: int, state: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _walk_witness(
-    n: int,
-    source: int,
-    target: int,
-    dist: dict[int, int],
-) -> list[tuple[int, int]]:
-    # greedy descent over exact distance labels; ties broken by the
-    # lexicographically smallest removed diagonal
-    steps = []
-    cur = source
-    while cur != target:
-        d = dist[cur]
-        for removed, inserted, nxt in _moves(n, cur):
-            if dist.get(nxt, -1) == d - 1:
-                steps.append((removed, inserted))
-                cur = nxt
-                break
-        else:
-            raise AssertionError("distance labels admit no descent")
-    return steps
-
-
-def _bfs(
-    n: int,
-    source: int,
-    target: int,
-    budget: _Budget,
-    stats: SearchStats,
-) -> dict[int, int]:
-    """Exact distance labels from the target, out to the source's level."""
-    dist = {target: 0}
-    frontier = [target]
-    level = 0
-    while source not in dist:
-        if not frontier:
-            raise AssertionError("flip graph is connected")
-        nxt = []
-        for state in frontier:
-            budget.spend(lower=level + 1)
-            for _, _, new in _moves(n, state):
-                if new not in dist:
-                    dist[new] = level + 1
-                    nxt.append(new)
-        frontier = nxt
-        level += 1
-        stats.frontier_peak = max(stats.frontier_peak, len(frontier))
-    return dist
-
-
 def _bidirectional(
     n: int,
     source: int,
@@ -199,7 +146,11 @@ def _bidirectional(
     budget: _Budget,
     stats: SearchStats,
 ) -> tuple[int, list[tuple[int, int]]]:
-    """Meet-in-the-middle BFS; returns distance and witness steps."""
+    """Meet-in-the-middle BFS; returns distance and witness steps.
+
+    source and target must differ: flip_distance answers equal inputs
+    itself, and a split region of four or more vertices shares no
+    diagonal, so its halves differ."""
     fdist = {source: 0}
     bdist = {target: 0}
     fparent: dict[int, tuple[int, int, int]] = {}
@@ -208,8 +159,6 @@ def _bidirectional(
     fdepth = bdepth = 0
     best: int | None = None
     meets: set[int] = set()
-    if source == target:
-        return 0, []
 
     def proven_lower() -> int:
         # levels fully expanded on both sides settle everything shorter
@@ -264,64 +213,9 @@ def _bidirectional(
     return best, fore
 
 
-def _iddfs(
-    n: int,
-    source: int,
-    target: int,
-    budget: _Budget,
-    stats: SearchStats,
-) -> tuple[int, list[tuple[int, int]]]:
-    """Iterative deepening with the set-difference heuristic; the frontier
-    peak is the longest path held."""
-    off_target = ~target
-
-    def h(state: int) -> int:
-        return (state & off_target).bit_count()
-
-    threshold = h(source)
-    on_path = {source}
-    steps: list[tuple[int, int]] = []
-
-    def dfs(state: int, g: int, bound: int) -> int | None:
-        budget.spend(lower=threshold)
-        f = g + h(state)
-        if f > bound:
-            return f
-        if state == target:
-            return -1
-        smallest_overflow: int | None = None
-        for removed, inserted, new in _moves(n, state):
-            if new in on_path:
-                continue
-            on_path.add(new)
-            steps.append((removed, inserted))
-            stats.frontier_peak = max(stats.frontier_peak, len(on_path))
-            sub = dfs(new, g + 1, bound)
-            if sub == -1:
-                return -1
-            on_path.discard(new)
-            steps.pop()
-            if sub is not None and (
-                smallest_overflow is None or sub < smallest_overflow
-            ):
-                smallest_overflow = sub
-        return smallest_overflow
-
-    if source == target:
-        return 0, []
-    while True:
-        outcome = dfs(source, 0, threshold)
-        if outcome == -1:
-            return len(steps), list(steps)
-        if outcome is None:
-            raise AssertionError("flip graph is connected")
-        threshold = outcome
-
-
 def _search_one(
     t1: PolygonTriangulation,
     t2: PolygonTriangulation,
-    strategy: str,
     budget: _Budget,
 ) -> DistanceResult:
     n = t1.n
@@ -333,16 +227,7 @@ def _search_one(
     began = time.monotonic()
     spent = budget.nodes
     try:
-        if strategy == "bfs":
-            dist = _bfs(n, source, target, budget, stats)
-            steps = _walk_witness(n, source, target, dist)
-            distance = dist[source]
-        elif strategy == "bidirectional":
-            distance, steps = _bidirectional(n, source, target, budget, stats)
-        elif strategy == "iterative-deepening":
-            distance, steps = _iddfs(n, source, target, budget, stats)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+        distance, steps = _bidirectional(n, source, target, budget, stats)
     except BudgetExceeded as exc:
         lo = max(exc.lower_bound, lower_bound(t1, t2))
         result = DistanceResult(None, None, stats, status="budget", lower_bound=lo)
@@ -375,7 +260,6 @@ def _concatenate_region_paths(
 def flip_distance(
     t1: PolygonTriangulation,
     t2: PolygonTriangulation,
-    strategy: str = "bidirectional",
     use_splitting: bool = True,
     node_budget: int | None = None,
     time_budget: float | None = None,
@@ -388,22 +272,20 @@ def flip_distance(
     """
     if t1.n != t2.n:
         raise ValueError("triangulations live on different polygons")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     t1.require_valid()
     t2.require_valid()
     budget = _Budget(node_budget, time_budget)
     if t1.diagonals == t2.diagonals:
         return DistanceResult(0, FlipPath(t1.n, t1, ()), SearchStats())
     if not use_splitting or not (t1.diagonals & t2.diagonals):
-        return _search_one(t1, t2, strategy, budget)
+        return _search_one(t1, t2, budget)
 
     begin = time.monotonic()
     stats = SearchStats()
     total = 0
     pieces = []
     for sub1, sub2, vmap in split_along(t1, t2):
-        res = _search_one(sub1, sub2, strategy, budget)
+        res = _search_one(sub1, sub2, budget)
         stats.merge(res.stats)
         if not res.exact:
             lo = total + res.lower_bound
@@ -493,7 +375,6 @@ def diameter_sanity(
     n: int,
     trials: int,
     seed: int = 0,
-    strategy: str = "bidirectional",
     node_budget: int | None = None,
     time_budget: float | None = None,
 ) -> DiameterReport:
@@ -512,10 +393,7 @@ def diameter_sanity(
     for _ in range(trials):
         t1 = random_triangulation(n, rng)
         t2 = random_triangulation(n, rng)
-        res = flip_distance(
-            t1, t2, strategy=strategy,
-            node_budget=node_budget, time_budget=time_budget,
-        )
+        res = flip_distance(t1, t2, node_budget=node_budget, time_budget=time_budget)
         if not res.exact:
             raise BudgetExceeded(
                 f"sample exceeded budget after {report.samples} exact distances",

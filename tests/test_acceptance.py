@@ -42,6 +42,7 @@ from fliptet.tetdecomp import (
 )
 
 from fixtures import bipyramid, octahedron, tetrahedron
+from oracles import oracle_flip_distance
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +75,7 @@ def exact_fills():
 
 
 @pytest.fixture(scope="module")
-def shortest_bfs_paths():
+def shortest_paths():
     rng = Random(5)
     paths = []
     while len(paths) < 100:
@@ -82,7 +83,7 @@ def shortest_bfs_paths():
         b = random_triangulation(8, rng)
         if a.diagonals & b.diagonals:
             continue
-        res = flip_distance(a, b, strategy="bfs", use_splitting=False)
+        res = flip_distance(a, b, use_splitting=False)
         paths.append(res.path)
     return paths
 
@@ -134,28 +135,37 @@ def test_criterion_04_ratio_gap(exact_distances, exact_fills):
     _line(4, f"ratios 10/9 and 13/11 exceed 1; formula at n = 48 is within {float(drift):.3f} of 3/2")
 
 
-def test_criterion_05_flip_count_identity(shortest_bfs_paths):
+def test_criterion_05_flip_count_identity(shortest_paths):
     for n in range(2, 21):
         assert check_flip_count_identity(explicit_flip_path(n))
-    for p in shortest_bfs_paths:
+    for p in shortest_paths:
         assert check_flip_count_identity(p)
     _line(5, "length = n-3 + extra diagonals on family paths n = 2..20 and 100 shortest paths")
 
 
 def test_criterion_06_splitting_preserves_distance():
     rng = Random(6)
+    checked = 0
     for _ in range(200):
         m = rng.randrange(4, 11)
         a = random_triangulation(m, rng)
         b = random_triangulation(m, rng)
-        plain = flip_distance(a, b, strategy="bfs", use_splitting=False)
+        plain = flip_distance(a, b, use_splitting=False)
         split = flip_distance(a, b, use_splitting=True)
         assert split.distance == plain.distance
-    _line(6, "splitting along shared diagonals kept 200 random distances unchanged")
+        if m <= 7:
+            # the unsplit search is the same engine; the oracle is not
+            assert split.distance == oracle_flip_distance(m, a.diagonals, b.diagonals)
+            checked += 1
+    _line(
+        6,
+        "splitting along shared diagonals kept 200 random distances unchanged,"
+        f" {checked} of them equal to the oracle's",
+    )
 
 
-def test_criterion_07_triangle_cooccurrence(shortest_bfs_paths):
-    for p in shortest_bfs_paths:
+def test_criterion_07_triangle_cooccurrence(shortest_paths):
+    for p in shortest_paths:
         assert check_triangle_cooccurrence(p) is None
     _line(7, "no forbidden diagonal triangle on any of the 100 shortest paths")
 

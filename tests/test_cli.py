@@ -13,6 +13,7 @@ import pytest
 from fliptet.cli import main
 from fliptet.family import bottom_triangulation, top_triangulation
 from fliptet.fileio import emit_polygon, emit_sphere, parse_path, parse_polygon, parse_sphere
+from fliptet.polygon import PolygonTriangulation
 from fliptet.sphere import glue
 from fliptet.verify import run_verification
 
@@ -69,6 +70,30 @@ def test_flip_distance_budget_exit(family_files, capsys):
     assert code == 3
     out = capsys.readouterr().out
     assert "distance >=" in out
+
+
+def test_flip_distance_no_split_same_distance_more_nodes(tmp_path, capsys):
+    # the two nonagon triangulations share the diagonal (0, 5)
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    t1 = PolygonTriangulation.of(9, [(0, 2), (0, 3), (0, 4), (0, 5), (5, 7), (5, 8)])
+    t2 = PolygonTriangulation.of(9, [(0, 5), (0, 6), (1, 5), (2, 4), (2, 5), (6, 8)])
+    a.write_text(emit_polygon(t1))
+    b.write_text(emit_polygon(t2))
+    outputs = []
+    for extra in ([], ["--no-split"]):
+        assert main(["flip-distance", "--from", str(a), "--to", str(b)] + extra) == 0
+        outputs.append(dict(line.split() for line in capsys.readouterr().out.splitlines()))
+    split, plain = outputs
+    assert split["distance"] == plain["distance"] == "5"
+    assert int(plain["nodes"]) >= int(split["nodes"])
+
+
+def test_flip_distance_rejects_strategy_flag(family_files):
+    top, bottom = family_files
+    with pytest.raises(SystemExit) as exc:
+        main(["flip-distance", "--from", str(top), "--to", str(bottom), "--strategy", "bfs"])
+    assert exc.value.code == 2
 
 
 def test_glue_matches_library(sphere_file):

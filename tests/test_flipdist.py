@@ -13,7 +13,6 @@ from fliptet.family import (
     top_triangulation,
 )
 from fliptet.flipdist import (
-    STRATEGIES,
     BudgetExceeded,
     DistanceResult,
     check_flip_count_identity,
@@ -65,16 +64,15 @@ def test_distance_zero():
     assert res.distance == 0 and len(res.path) == 0
 
 
-def test_distance_family_n2_all_strategies():
+def test_distance_family_n2():
     top, bottom = top_triangulation(2), bottom_triangulation(2)
-    for strategy in ("bfs", "bidirectional", "iterative-deepening"):
-        res = flip_distance(top, bottom, strategy=strategy)
-        assert res.distance == 7
-        assert len(res.path) == 7
-        assert res.path.end() == bottom
+    res = flip_distance(top, bottom)
+    assert res.distance == 7
+    assert len(res.path) == 7
+    assert res.path.end() == bottom
 
 
-# Search-order pins, read from the frozenset engines: the expansion
+# Search-order pins, read from the engine's frozenset version: the expansion
 # order decides node counts, frontier peaks and which shortest path is
 # returned, so an engine change that reorders the search fails here.
 FAMILY_PATHS = {
@@ -91,19 +89,12 @@ FAMILY_PATHS = {
 
 
 @pytest.mark.parametrize(
-    "n, strategy, nodes, frontier_peak",
-    [
-        (2, "bfs", 130, 35),
-        (2, "bidirectional", 67, 35),
-        (2, "iterative-deepening", 50, 8),
-        (3, "bfs", 1425, 329),
-        (3, "bidirectional", 530, 253),
-        (3, "iterative-deepening", 401, 11),
-        (4, "bidirectional", 4849, 2678),
-    ],
+    "n, nodes, frontier_peak",
+    [(2, 67, 35), (3, 530, 253), (4, 4849, 2678)],
+    ids=["n2", "n3", "n4"],
 )
-def test_family_search_order_is_pinned(n, strategy, nodes, frontier_peak):
-    res = flip_distance(top_triangulation(n), bottom_triangulation(n), strategy=strategy)
+def test_family_search_order_is_pinned(n, nodes, frontier_peak):
+    res = flip_distance(top_triangulation(n), bottom_triangulation(n))
     assert res.distance == 3 * n + 1
     assert (res.stats.nodes, res.stats.frontier_peak) == (nodes, frontier_peak)
     assert res.path.steps == FAMILY_PATHS[n]
@@ -121,23 +112,17 @@ def test_distance_rejects_mismatched_polygons():
         flip_distance(fan(6, 0), fan(7, 0))
 
 
-def test_distance_rejects_unknown_strategy():
-    with pytest.raises(ValueError):
-        flip_distance(fan(6, 0), fan(6, 1), strategy="dfs")
-
-
-def test_strategies_agree_with_oracle_random():
+def test_distance_agrees_with_oracle_random():
     rng = random.Random(2)
     for _ in range(25):
         n = rng.randrange(5, 9)
         t1 = random_triangulation(n, rng)
         t2 = random_triangulation(n, rng)
         want = oracle_flip_distance(n, t1.diagonals, t2.diagonals)
-        for strategy in ("bfs", "bidirectional", "iterative-deepening"):
-            res = flip_distance(t1, t2, strategy=strategy)
-            assert res.distance == want
-            assert len(res.path) == want
-            assert res.path.states()[-1] == t2
+        res = flip_distance(t1, t2)
+        assert res.distance == want
+        assert len(res.path) == want
+        assert res.path.states()[-1] == t2
 
 
 def test_symmetry():
@@ -169,9 +154,11 @@ def test_splitting_never_changes_distance():
         t1 = random_triangulation(n, rng)
         t2 = random_triangulation(n, rng)
         split = flip_distance(t1, t2, use_splitting=True)
-        plain = flip_distance(t1, t2, use_splitting=False, strategy="bfs")
+        plain = flip_distance(t1, t2, use_splitting=False)
         assert split.distance == plain.distance
         assert split.path.end() == t2
+        if n <= 7:
+            assert split.distance == oracle_flip_distance(n, t1.diagonals, t2.diagonals)
 
 
 def test_split_nodes_are_the_sum_of_region_searches():
@@ -187,20 +174,18 @@ def test_split_nodes_are_the_sum_of_region_searches():
         if len(regions) < 2:
             continue
         multi += 1
-        for strategy in STRATEGIES:
-            split = flip_distance(t1, t2, strategy=strategy)
-            alone = [flip_distance(a, b, strategy=strategy) for a, b, _ in regions]
-            assert split.stats.nodes == sum(r.stats.nodes for r in alone)
-            assert split.distance == sum(r.distance for r in alone)
+        split = flip_distance(t1, t2)
+        alone = [flip_distance(a, b) for a, b, _ in regions]
+        assert split.stats.nodes == sum(r.stats.nodes for r in alone)
+        assert split.distance == sum(r.distance for r in alone)
     assert multi >= 5
 
 
 def test_witness_paths_are_deterministic():
     t1, t2 = top_triangulation(2), bottom_triangulation(2)
-    for strategy in ("bfs", "bidirectional", "iterative-deepening"):
-        a = flip_distance(t1, t2, strategy=strategy)
-        b = flip_distance(t1, t2, strategy=strategy)
-        assert a.path.steps == b.path.steps
+    a = flip_distance(t1, t2)
+    b = flip_distance(t1, t2)
+    assert a.path.steps == b.path.steps
 
 
 def test_node_budget_returns_bounds():
