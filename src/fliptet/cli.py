@@ -170,7 +170,7 @@ def _cmd_validate(args) -> int:
     except ValueError as e:
         print(f"invalid: {e}")
         return FAILED
-    collapsible = {True: "yes", False: "no", None: "unknown"}[cert.collapsible]
+    collapsible = {True: "yes", None: "unknown"}[cert.collapsible]
     print(
         f"ok: {cert.vertices} vertices, {cert.edges} edges, {cert.faces} triangles,"
         f" {cert.tets} tets, euler {cert.euler}, collapsible {collapsible}"

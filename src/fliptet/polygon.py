@@ -29,10 +29,6 @@ def is_boundary_edge(n: int, a: int, b: int) -> bool:
     return b - a == 1 or (a == 0 and b == n - 1)
 
 
-def is_diagonal(n: int, a: int, b: int) -> bool:
-    return 0 <= a < n and 0 <= b < n and a != b and not is_boundary_edge(n, a, b)
-
-
 def crosses(d1: Diagonal, d2: Diagonal) -> bool:
     """True iff the endpoints strictly interleave on the cycle.
 

@@ -117,7 +117,7 @@ def render_sphere(
 ) -> str:
     tau.require_valid()
     if cycle is None:
-        found = next(iter(hamiltonian_cycles(tau, limit=1)), None)
+        found = next(hamiltonian_cycles(tau), None)
         if found is None:
             raise ValueError("the sphere has no Hamiltonian cycle to cut along")
     else:

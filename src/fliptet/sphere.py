@@ -246,11 +246,12 @@ class CycleInSphere:
         )
 
 
-def hamiltonian_cycles(tau: SphereTriangulation, limit: int | None = None) -> Iterator[CycleInSphere]:
+def hamiltonian_cycles(tau: SphereTriangulation) -> Iterator[CycleInSphere]:
     """Enumerate Hamiltonian cycles, one per rotation/reflection class.
 
     Every cycle is anchored at vertex 0 with its second vertex smaller
-    than its last, so each undirected cycle appears exactly once.
+    than its last, so each undirected cycle appears exactly once.  The
+    enumeration is lazy: take the first k with `itertools.islice`.
     """
     tau.require_valid()
     v_count = tau.vertex_count
@@ -272,12 +273,7 @@ def hamiltonian_cycles(tau: SphereTriangulation, limit: int | None = None) -> It
                 path.pop()
                 used[w] = False
 
-    count = 0
-    for cycle in extend():
-        yield cycle
-        count += 1
-        if limit is not None and count >= limit:
-            return
+    yield from extend()
 
 
 def recut(

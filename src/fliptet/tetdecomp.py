@@ -57,17 +57,6 @@ class TetDecomposition:
     def edges(self) -> frozenset[Edge]:
         return frozenset(e for t in self.tets for e in _edges_of(t))
 
-    def extends(self, tau: SphereTriangulation) -> str | None:
-        """Check the face parity contract against a target sphere."""
-        counts = self.face_counts()
-        for f in sorted(tau.triangles):
-            if counts.get(f, 0) != 1:
-                return f"sphere triangle {f} lies in {counts.get(f, 0)} tetrahedra, expected 1"
-        for f, k in sorted(counts.items()):
-            if f not in tau.triangles and k != 2:
-                return f"interior triangle {f} lies in {k} tetrahedra, expected 0 or 2"
-        return None
-
 
 @dataclass(frozen=True)
 class BallCertificate:
@@ -83,42 +72,39 @@ class BallCertificate:
     faces: int
     tets: int
     euler: int
-    boundary_match: bool
-    edge_links_ok: bool
-    vertex_links_ok: bool
     collapsible: bool | None
 
 
-def _ball_violation(tau: SphereTriangulation, tets: frozenset[Tet]) -> str | None:
+def _ball_check(tau: SphereTriangulation, tets: frozenset[Tet]) -> BallCertificate:
     if not tets:
-        return "the decomposition is empty"
-    for t in sorted(tets):
+        raise ValueError("the decomposition is empty")
+    order = sorted(tets)
+    for t in order:
         if len(set(t)) != 4:
-            return f"tetrahedron {t} has repeated vertices"
+            raise ValueError(f"tetrahedron {t} has repeated vertices")
         if not all(0 <= x < tau.vertex_count for x in t):
-            return f"tetrahedron {t} uses vertices outside 0..{tau.vertex_count - 1}"
+            raise ValueError(f"tetrahedron {t} uses vertices outside 0..{tau.vertex_count - 1}")
     counts: Counter = Counter()
     for t in tets:
         counts.update(_faces_of(t))
     for f, k in sorted(counts.items()):
         if k > 2:
-            return f"triangle {f} lies in {k} tetrahedra"
+            raise ValueError(f"triangle {f} lies in {k} tetrahedra")
     boundary = {f for f, k in counts.items() if k == 1}
     extra = sorted(boundary - tau.triangles)
     if extra:
-        return f"triangle {extra[0]} is on the boundary but not on the sphere"
+        raise ValueError(f"triangle {extra[0]} is on the boundary but not on the sphere")
     missing = sorted(tau.triangles - boundary)
     if missing:
-        return f"sphere triangle {missing[0]} is not on the boundary"
+        raise ValueError(f"sphere triangle {missing[0]} is not on the boundary")
 
     # the dual graph must be connected through interior triangles
     face_tets: dict[Triangle, list[Tet]] = {}
-    for t in sorted(tets):
+    for t in order:
         for f in _faces_of(t):
             face_tets.setdefault(f, []).append(t)
-    start = min(tets)
-    reached = {start}
-    queue = deque([start])
+    reached = {order[0]}
+    queue = deque([order[0]])
     while queue:
         for f in _faces_of(queue.popleft()):
             for g in face_tets[f]:
@@ -126,12 +112,12 @@ def _ball_violation(tau: SphereTriangulation, tets: frozenset[Tet]) -> str | Non
                     reached.add(g)
                     queue.append(g)
     if len(reached) != len(tets):
-        return "the decomposition is disconnected"
+        raise ValueError("the decomposition is disconnected")
 
     # each edge link must be one path (boundary edge) or one cycle (interior)
     boundary_edges = tau.edges()
     edge_tets: dict[Edge, list[Tet]] = {}
-    for t in sorted(tets):
+    for t in order:
         for e in _edges_of(t):
             edge_tets.setdefault(e, []).append(t)
     for e, around in sorted(edge_tets.items()):
@@ -144,10 +130,10 @@ def _ball_violation(tau: SphereTriangulation, tets: frozenset[Tet]) -> str | Non
         on_boundary = e in boundary_edges
         if on_boundary:
             if degs.count(1) != 2 or any(d > 2 for d in degs):
-                return f"the link of boundary edge {e} is not a single path"
+                raise ValueError(f"the link of boundary edge {e} is not a single path")
         else:
             if any(d != 2 for d in degs):
-                return f"the link of interior edge {e} is not a single cycle"
+                raise ValueError(f"the link of interior edge {e} is not a single cycle")
         start_v = min(
             (x for x in link if len(link[x]) == 1), default=min(link)
         )
@@ -160,18 +146,18 @@ def _ball_violation(tau: SphereTriangulation, tets: frozenset[Tet]) -> str | Non
                     stack.append(w)
         if len(seen) != len(link):
             kind = "path" if on_boundary else "cycle"
-            return f"the link of edge {e} is not a single {kind}"
+            raise ValueError(f"the link of edge {e} is not a single {kind}")
 
-    # vertex links must be disks: connected surfaces with Euler number 1
+    # vertex links must be disks: connected surfaces with Euler number 1.
+    # None is empty: each vertex lies on a sphere triangle, and the
+    # boundary check put every sphere triangle in a tetrahedron
     for v in range(tau.vertex_count):
-        tris = [tuple(u for u in t if u != v) for t in sorted(tets) if v in t]
-        if not tris:
-            return f"vertex {v} lies in no tetrahedron"
+        tris = [tuple(u for u in t if u != v) for t in order if v in t]
         verts = {x for f in tris for x in f}
         edges = {e for f in tris for e in ((f[0], f[1]), (f[0], f[2]), (f[1], f[2]))}
         euler = len(verts) - len(edges) + len(tris)
         if euler != 1:
-            return f"the link of vertex {v} has Euler number {euler}, expected 1"
+            raise ValueError(f"the link of vertex {v} has Euler number {euler}, expected 1")
         reached_f = {tris[0]}
         queue = deque([tris[0]])
         edge_tris: dict[Edge, list] = {}
@@ -186,70 +172,49 @@ def _ball_violation(tau: SphereTriangulation, tets: frozenset[Tet]) -> str | Non
                         reached_f.add(g)
                         queue.append(g)
         if len(reached_f) != len(tris):
-            return f"the link of vertex {v} is disconnected"
+            raise ValueError(f"the link of vertex {v} is disconnected")
 
-    all_edges = set(edge_tets)
-    euler = tau.vertex_count - len(all_edges) + len(counts) - len(tets)
+    euler = tau.vertex_count - len(edge_tets) + len(counts) - len(tets)
     if euler != 1:
-        return f"Euler characteristic is {euler}, expected 1"
-    return None
+        raise ValueError(f"Euler characteristic is {euler}, expected 1")
+    return BallCertificate(
+        vertices=tau.vertex_count,
+        edges=len(edge_tets),
+        faces=len(counts),
+        tets=len(tets),
+        euler=euler,
+        collapsible=True if _collapses_to_point(tets) else None,
+    )
 
 
 def _collapses_to_point(tets: frozenset[Tet]) -> bool:
-    # greedy free-face collapsing; success proves the complex is a ball,
-    # a stall proves nothing
-    complex_: set[frozenset] = set()
+    # greedy free-face collapsing: a face with exactly one coface is
+    # removed together with it, and a face left with one coface by a
+    # removal joins the queue.  Success proves the complex is a ball, a
+    # stall proves nothing
+    cofaces: dict[tuple, set] = {}
     for t in tets:
-        s = frozenset(t)
-        complex_.add(s)
-        for k in (3, 2, 1):
-            for sub in combinations(t, k):
-                complex_.add(frozenset(sub))
-    while True:
-        cofacets: Counter = Counter()
-        for s in complex_:
-            if len(s) > 1:
-                for sub in combinations(sorted(s), len(s) - 1):
-                    cofacets[frozenset(sub)] += 1
-        free = sorted(
-            (s for s in complex_ if cofacets.get(s, 0) == 1),
-            key=lambda s: (-len(s), sorted(s)),
-        )
-        if not free:
-            break
-        collapsed = False
-        for s in free:
-            if s not in complex_:
-                continue
-            # the pair must still be free under earlier removals this round
-            live = [p for p in complex_ if len(p) == len(s) + 1 and s < p]
-            if len(live) != 1:
-                continue
-            complex_.discard(s)
-            complex_.discard(live[0])
-            collapsed = True
-        if not collapsed:
-            break
-    return len(complex_) == 1 and len(next(iter(complex_))) == 1
-
-
-def _certificate(tau: SphereTriangulation, tets: frozenset[Tet]) -> BallCertificate:
-    counts: Counter = Counter()
-    for t in tets:
-        counts.update(_faces_of(t))
-    edges = {e for t in tets for e in _edges_of(t)}
-    collapsible = True if _collapses_to_point(tets) else None
-    return BallCertificate(
-        vertices=tau.vertex_count,
-        edges=len(edges),
-        faces=len(counts),
-        tets=len(tets),
-        euler=tau.vertex_count - len(edges) + len(counts) - len(tets),
-        boundary_match=True,
-        edge_links_ok=True,
-        vertex_links_ok=True,
-        collapsible=collapsible,
-    )
+        for k in (4, 3, 2, 1):
+            for s in combinations(t, k):
+                cofaces.setdefault(s, set())
+    for s in cofaces:
+        if len(s) > 1:
+            for f in combinations(s, len(s) - 1):
+                cofaces[f].add(s)
+    queue = [s for s, up in cofaces.items() if len(up) == 1]
+    while queue:
+        s = queue.pop()
+        if len(cofaces.get(s, ())) != 1:
+            continue
+        for x in (s, cofaces[s].pop()):
+            del cofaces[x]
+            for f in combinations(x, len(x) - 1):
+                up = cofaces.get(f)
+                if up is not None:
+                    up.discard(x)
+                    if len(up) == 1:
+                        queue.append(f)
+    return len(cofaces) == 1
 
 
 def validate_ball(tau: SphereTriangulation, decomposition: TetDecomposition) -> BallCertificate:
@@ -266,10 +231,7 @@ def validate_ball(tau: SphereTriangulation, decomposition: TetDecomposition) -> 
         raise ValueError(
             f"vertex counts differ: {decomposition.vertex_count} vs {tau.vertex_count}"
         )
-    msg = _ball_violation(tau, decomposition.tets)
-    if msg is not None:
-        raise ValueError(msg)
-    return _certificate(tau, decomposition.tets)
+    return _ball_check(tau, decomposition.tets)
 
 
 def from_flip_path(
@@ -460,7 +422,7 @@ def min_tet(
     deg = tau.degrees()
     apex = min(v for v in range(v_count) if deg[v] == max(deg.values()))
     cone = cone_decomposition(tau, apex)
-    assert _ball_violation(tau, cone.tets) is None
+    best_cert = _ball_check(tau, cone.tets)
     best_tets = cone.tets
     best = len(cone)
 
@@ -492,10 +454,12 @@ def min_tet(
     def dfs(
         depth: int, deficient: int, blocked: int, used: int, remaining: int, inner: int
     ) -> None:
-        nonlocal nodes, best, best_tets, limit, complete, rejected
+        nonlocal nodes, best, best_tets, best_cert, limit, complete, rejected
         if not deficient:
             tets = frozenset(t for i, t in enumerate(all_tets) if used >> i & 1)
-            if _ball_violation(tau, tets) is not None:
+            try:
+                best_cert = _ball_check(tau, tets)
+            except ValueError:
                 rejected += 1
                 return
             best = limit = depth
@@ -559,11 +523,10 @@ def min_tet(
     else:
         lower = floor
         exact = best == lower
-    witness = TetDecomposition(v_count, best_tets)
     return MinTetResult(
         size=best,
-        witness=witness,
-        certificate=_certificate(tau, best_tets),
+        witness=TetDecomposition(v_count, best_tets),
+        certificate=best_cert,
         lower_bound=lower,
         exact=exact,
         nodes=nodes,

@@ -138,7 +138,9 @@ def test_min_tet_exact_and_witness_validates(sphere_file, tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out == ["size 7", "lower-bound 7", "status exact", "nodes 22", "rejected 0"]
     assert main(["validate", "--sphere", str(sphere_file), "--tets", str(tets)]) == 0
-    assert capsys.readouterr().out.startswith("ok: 8 vertices")
+    assert capsys.readouterr().out == (
+        "ok: 8 vertices, 20 edges, 20 triangles, 7 tets, euler 1, collapsible yes\n"
+    )
 
 
 def test_min_tet_budget_exit(tmp_path, capsys):

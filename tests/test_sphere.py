@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -142,7 +143,7 @@ def test_hamiltonian_cycles_contain_gluing_seam():
 
 def test_hamiltonian_cycles_limit_and_validity():
     tau = glued_family(2)
-    cycles = list(hamiltonian_cycles(tau, limit=5))
+    cycles = list(islice(hamiltonian_cycles(tau), 5))
     assert len(cycles) == 5
     for c in cycles:
         assert c.validate() is None
@@ -189,7 +190,7 @@ def test_recut_round_trip_all_cycles():
 
 def test_recut_round_trip_certificate():
     tau = glued_family(2)
-    for cycle in hamiltonian_cycles(tau, limit=3):
+    for cycle in islice(hamiltonian_cycles(tau), 3):
         half_a, half_b, _ = recut(tau, cycle)
         assert isomorphic(glue(half_a, half_b), tau)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -11,7 +12,13 @@ from fliptet.family import (
     top_triangulation,
 )
 from fliptet.polygon import FlipPath, PolygonTriangulation, random_triangulation
-from fliptet.sphere import CycleInSphere, cone_decomposition, double_disk_sphere, glue
+from fliptet.sphere import (
+    CycleInSphere,
+    SphereTriangulation,
+    cone_decomposition,
+    double_disk_sphere,
+    glue,
+)
 from fliptet import tetdecomp
 from fliptet.tetdecomp import (
     TetDecomposition,
@@ -55,20 +62,6 @@ def test_decomposition_basics():
     assert len(d.edges()) == 6
 
 
-def test_extends_reports_missing_sphere_triangle():
-    octa = octahedron()
-    d = TetDecomposition.of(6, [(0, 1, 2, 3)])
-    assert "expected 1" in d.extends(octa)
-
-
-def test_extends_reports_odd_interior_triangle():
-    octa = octahedron()
-    cone = cone_decomposition(octa, 0)
-    d = TetDecomposition.of(6, set(cone.tets) | {(1, 2, 3, 4)})
-    msg = d.extends(octa)
-    assert "interior triangle" in msg and "expected 0 or 2" in msg
-
-
 def test_single_flip_gives_one_tetrahedron():
     top = PolygonTriangulation.of(4, {(0, 2)})
     path = FlipPath.from_removals(top, [(0, 2)])
@@ -85,6 +78,7 @@ def test_flip_path_stack_validates_on_family():
         assert len(d) == len(path) == 3 * n + 1
         cert = validate_ball(tau, d)
         assert cert.euler == 1
+        assert cert.collapsible is True
         assert d.boundary() == tau.triangles
         # every tet face is a boundary face once or an interior face twice
         boundary = 4 * n + 4
@@ -124,8 +118,8 @@ def test_from_flip_path_rejects_shared_diagonals():
 def test_validate_ball_accepts_cone():
     tau = glued_family(2)
     cert = validate_ball(tau, cone_decomposition(tau, 0))
-    assert cert.boundary_match and cert.edge_links_ok and cert.vertex_links_ok
     assert cert.euler == 1
+    assert cert.collapsible is True
 
 
 def test_validate_ball_rejects_overused_triangle():
@@ -146,6 +140,60 @@ def test_validate_ball_rejects_vertex_mismatch():
     d = TetDecomposition.of(5, [(0, 1, 2, 3)])
     with pytest.raises(ValueError, match="vertex counts differ"):
         validate_ball(tetrahedron(), d)
+
+
+# parity-complete fills that fail the connectivity or link checks
+SPHERE_6 = SphereTriangulation.of(6, [
+    (0, 1, 2), (0, 1, 3), (0, 2, 5), (0, 3, 4),
+    (0, 4, 5), (1, 2, 3), (2, 3, 4), (2, 4, 5),
+])
+SPHERE_8 = SphereTriangulation.of(8, [
+    (0, 1, 3), (0, 1, 7), (0, 3, 7), (1, 2, 3), (1, 2, 6), (1, 6, 7),
+    (2, 3, 4), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 5, 6), (3, 6, 7),
+])
+FAMILY_2 = glued_family(2)
+
+
+@pytest.mark.parametrize(
+    "tau, tets, message",
+    [
+        (
+            SPHERE_6,
+            [(0, 1, 2, 4), (0, 1, 3, 5), (0, 1, 4, 5), (0, 2, 3, 4),
+             (0, 2, 3, 5), (1, 2, 3, 5), (1, 2, 4, 5)],
+            "the link of vertex 0 has Euler number 0, expected 1",
+        ),
+        (
+            SPHERE_8,
+            [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 4, 6), (0, 1, 6, 7),
+             (0, 2, 3, 5), (0, 2, 4, 6), (0, 2, 5, 6), (0, 3, 5, 6),
+             (0, 3, 6, 7), (1, 2, 4, 6), (2, 3, 4, 5)],
+            "the link of edge (2, 4) is not a single path",
+        ),
+        (
+            SPHERE_8,
+            [(0, 1, 2, 3), (0, 1, 2, 6), (0, 1, 4, 6), (0, 1, 4, 7),
+             (0, 2, 3, 6), (0, 3, 6, 7), (0, 4, 6, 7), (1, 4, 6, 7),
+             (2, 3, 4, 6), (2, 4, 5, 6), (3, 4, 5, 6)],
+            "the link of edge (4, 6) is not a single cycle",
+        ),
+        (
+            FAMILY_2,
+            sorted(cone_decomposition(FAMILY_2, 0).tets) + list(combinations((1, 4, 5, 6, 7), 4)),
+            "the decomposition is disconnected",
+        ),
+    ],
+    ids=["vertex-link-euler", "edge-link-path", "edge-link-cycle", "disconnected"],
+)
+def test_validate_ball_rejects_bad_links(tau, tets, message):
+    with pytest.raises(ValueError) as err:
+        validate_ball(tau, TetDecomposition.of(tau.vertex_count, tets))
+    assert str(err.value) == message
+
+
+def test_collapse_stalls_without_free_face():
+    # the boundary of the 4-simplex: every face has at least two cofaces
+    assert tetdecomp._collapses_to_point(frozenset(combinations(range(5), 4))) is False
 
 
 def test_no_three_face_tet_on_family():
@@ -215,7 +263,7 @@ def test_min_tet_family_three():
     tau = glued_family(3)
     res = min_tet(tau)
     assert res.size == 9 and res.exact and res.complete
-    validate_ball(tau, res.witness)
+    assert res.certificate == validate_ball(tau, res.witness)
 
 
 def test_min_tet_pentagonal_bipyramid_exhaustive():
@@ -285,14 +333,16 @@ def test_min_tet_budgeted_search_is_pinned(kwargs, size, nodes, complete, exact)
 def test_min_tet_counts_rejected_candidates(monkeypatch):
     # the first call checks the cone incumbent; refuse the next, the
     # search's first parity-complete candidate
-    check = tetdecomp._ball_violation
+    check = tetdecomp._ball_check
     calls = []
 
     def refuse_first_candidate(tau, tets):
         calls.append(tets)
-        return "refused" if len(calls) == 2 else check(tau, tets)
+        if len(calls) == 2:
+            raise ValueError("refused")
+        return check(tau, tets)
 
-    monkeypatch.setattr(tetdecomp, "_ball_violation", refuse_first_candidate)
+    monkeypatch.setattr(tetdecomp, "_ball_check", refuse_first_candidate)
     tau = glued_family(3)
     res = min_tet(tau)
     # the refused 9-tetrahedron fill is the only one, so the cone stands
