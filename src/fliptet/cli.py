@@ -102,6 +102,7 @@ def _cmd_recut(args) -> int:
     print(f"distance {res.distance}")
     print("cycle " + " ".join(str(v) for v in res.cycle.vertices))
     print(f"tried {res.cycles_tried} cycles" + (" (exhausted)" if res.exhausted else ""))
+    print(f"nodes {res.nodes} refuted {res.refuted}")
     if args.out_top or args.out_bottom:
         half_a, half_b = res.halves
         _deliver(emit_polygon(half_a, comment="side a"), args.out_top)

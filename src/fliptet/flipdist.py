@@ -51,8 +51,9 @@ class DistanceResult:
     """Outcome of an exact search.
 
     status is "exact" when the distance is proven; a search that ran out
-    of budget reports status "budget" with the best proven lower bound
-    and no witness.
+    of budget reports status "budget" with the best proven lower bound,
+    and a search refuted by `below=k` reports "above" with a lower bound
+    of at least k; neither has a witness.
     """
 
     distance: int | None
@@ -86,57 +87,27 @@ def lower_bound(t1: PolygonTriangulation, t2: PolygonTriangulation) -> int:
 
 
 class _Budget:
+    """Node and time budget, shared by the regions of one split search."""
+
     def __init__(self, node_budget: int | None, time_budget: float | None):
         self.node_budget = node_budget
         self.deadline = None if time_budget is None else time.monotonic() + time_budget
         self.nodes = 0
 
-    def spend(self, lower: int) -> None:
-        self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
-            raise BudgetExceeded(
-                f"node budget {self.node_budget} exhausted", lower
-            )
-        if self.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.deadline:
-                raise BudgetExceeded("time budget exhausted", lower)
-
 
 @lru_cache(maxsize=None)
-def _bits(n: int) -> tuple[tuple[Diagonal, ...], dict[int, int], tuple[int, ...]]:
+def _bits(n: int) -> tuple[dict[int, Diagonal], dict[int, int], tuple[int, ...]]:
     """Bit encoding of the n-gon's diagonals, with vertices as masks too:
-    bit position -> endpoints, mask of the two endpoints -> bit, and
-    vertex -> mask of its two polygon neighbours."""
+    bit -> endpoints, mask of the two endpoints -> bit, and vertex -> mask
+    of its two polygon neighbours."""
     diagonals = [
         (a, b) for a in range(n) for b in range(a + 2, n) if (a, b) != (0, n - 1)
     ]
     top = len(diagonals) - 1
+    ends = {1 << (top - i): d for i, d in enumerate(diagonals)}
     bit = {(1 << a) | (1 << b): 1 << (top - i) for i, (a, b) in enumerate(diagonals)}
     ring = tuple((1 << (v + 1) % n) | (1 << (v - 1) % n) for v in range(n))
-    return tuple(reversed(diagonals)), bit, ring
-
-
-def _moves(n: int, state: int) -> list[tuple[int, int, int]]:
-    """All flips from a state: (removed bit, inserted bit, next state),
-    highest removed bit first."""
-    ends, bit, ring = _bits(n)
-    nb = list(ring)
-    present = []
-    rest = state
-    while rest:
-        pos = rest.bit_length() - 1
-        removed = 1 << pos
-        rest ^= removed
-        a, b = ends[pos]
-        nb[a] |= 1 << b
-        nb[b] |= 1 << a
-        present.append((removed, a, b))
-    out = []
-    for removed, a, b in present:
-        # the two common neighbours of a and b are the flip's apexes
-        inserted = bit[nb[a] & nb[b]]
-        out.append((removed, inserted, state ^ removed ^ inserted))
-    return out
+    return ends, bit, ring
 
 
 def _bidirectional(
@@ -145,16 +116,23 @@ def _bidirectional(
     target: int,
     budget: _Budget,
     stats: SearchStats,
-) -> tuple[int, list[tuple[int, int]]]:
+    below: int | None = None,
+) -> tuple[int | None, list[tuple[int, int]]]:
     """Meet-in-the-middle BFS; returns distance and witness steps.
+
+    With `below`, a new state is dropped when its depth plus its
+    diagonals missing from the other root reaches `below` (a flip removes
+    at most one), and the search returns no distance once the depths
+    cannot meet below it or a frontier is empty.  States of shorter paths
+    survive at their exact depths, so a found distance is exact.
 
     source and target must differ: flip_distance answers equal inputs
     itself, and a split region of four or more vertices shares no
     diagonal, so its halves differ."""
-    fdist = {source: 0}
-    bdist = {target: 0}
-    fparent: dict[int, tuple[int, int, int]] = {}
-    bparent: dict[int, tuple[int, int, int]] = {}
+    ends, bit, ring = _bits(n)
+    # each side's parent map; a root is its own parent
+    fparent = {source: source}
+    bparent = {target: target}
     ffrontier, bfrontier = [source], [target]
     fdepth = bdepth = 0
     best: int | None = None
@@ -165,50 +143,76 @@ def _bidirectional(
         base = fdepth + bdepth + 1
         return base if best is None else min(best, base)
 
-    def expand(frontier, dist, parent, other, depth):
+    def expand(frontier, parent, other, goal, depth):
         nonlocal best
         nxt = []
+        room = None if below is None else below - depth - 1
         for state in sorted(frontier, reverse=True):
-            budget.spend(lower=proven_lower())
-            for removed, inserted, new in _moves(n, state):
-                if new not in dist:
-                    dist[new] = depth + 1
-                    parent[new] = (state, removed, inserted)
-                    nxt.append(new)
-                    if new in other:
-                        total = dist[new] + other[new]
-                        if best is None or total < best:
-                            best = total
-                            meets.clear()
-                        if total == best:
-                            meets.add(new)
+            budget.nodes += 1
+            if budget.node_budget is not None and budget.nodes > budget.node_budget:
+                raise BudgetExceeded(f"node budget {budget.node_budget} exhausted", proven_lower())
+            if budget.deadline is not None and budget.nodes % 256 == 0:
+                if time.monotonic() > budget.deadline:
+                    raise BudgetExceeded("time budget exhausted", proven_lower())
+            nb = list(ring)
+            present = []
+            rest = state
+            while rest:
+                removed = rest & -rest
+                rest ^= removed
+                a, b = ends[removed]
+                nb[a] |= 1 << b
+                nb[b] |= 1 << a
+                present.append((removed, a, b))
+            # highest removed bit first; the two common neighbours of a
+            # and b are the flip's apexes
+            for removed, a, b in reversed(present):
+                new = state ^ removed ^ bit[nb[a] & nb[b]]
+                if new in parent:
+                    continue
+                if room is not None and (new & ~goal).bit_count() >= room:
+                    continue
+                parent[new] = state
+                nxt.append(new)
+                if new in other:
+                    total = depth + 1
+                    cur = new
+                    while cur != goal:
+                        cur = other[cur]
+                        total += 1
+                    if best is None or total < best:
+                        best = total
+                        meets.clear()
+                    if total == best:
+                        meets.add(new)
         stats.frontier_peak = max(stats.frontier_peak, len(nxt))
         return nxt
 
     while best is None or best > fdepth + bdepth:
-        if not ffrontier and not bfrontier:
-            raise AssertionError("flip graph is connected")
-        forward = len(ffrontier) <= len(bfrontier) and ffrontier
-        if forward:
-            ffrontier = expand(ffrontier, fdist, fparent, bdist, fdepth)
+        if not ffrontier or not bfrontier or (below is not None and fdepth + bdepth + 1 >= below):
+            break
+        if len(ffrontier) <= len(bfrontier):
+            ffrontier = expand(ffrontier, fparent, bparent, target, fdepth)
             fdepth += 1
         else:
-            bfrontier = expand(bfrontier, bdist, bparent, fdist, bdepth)
+            bfrontier = expand(bfrontier, bparent, fparent, source, bdepth)
             bdepth += 1
+    if best is None:
+        return None, []
 
     meet = max(meets)
     fore: list[tuple[int, int]] = []
     cur = meet
     while cur != source:
-        prev, removed, inserted = fparent[cur]
-        fore.append((removed, inserted))
+        prev = fparent[cur]
+        fore.append((prev & ~cur, cur & ~prev))
         cur = prev
     fore.reverse()
     cur = meet
     while cur != target:
-        prev, removed, inserted = bparent[cur]
+        prev = bparent[cur]
         # backward edges replay forward with the roles swapped
-        fore.append((inserted, removed))
+        fore.append((cur & ~prev, prev & ~cur))
         cur = prev
     return best, fore
 
@@ -217,6 +221,7 @@ def _search_one(
     t1: PolygonTriangulation,
     t2: PolygonTriangulation,
     budget: _Budget,
+    below: int | None = None,
 ) -> DistanceResult:
     n = t1.n
     ends, bit, _ = _bits(n)
@@ -227,15 +232,17 @@ def _search_one(
     began = time.monotonic()
     spent = budget.nodes
     try:
-        distance, steps = _bidirectional(n, source, target, budget, stats)
+        distance, steps = _bidirectional(n, source, target, budget, stats, below)
     except BudgetExceeded as exc:
         lo = max(exc.lower_bound, lower_bound(t1, t2))
         result = DistanceResult(None, None, stats, status="budget", lower_bound=lo)
     else:
-        path = FlipPath(
-            n, t1, tuple((ends[r.bit_length() - 1], ends[i.bit_length() - 1]) for r, i in steps)
-        )
-        result = DistanceResult(distance, path, stats, lower_bound=distance)
+        if distance is None:
+            lo = max(below, lower_bound(t1, t2))
+            result = DistanceResult(None, None, stats, status="above", lower_bound=lo)
+        else:
+            path = FlipPath(n, t1, tuple((ends[r], ends[i]) for r, i in steps))
+            result = DistanceResult(distance, path, stats, lower_bound=distance)
     # the budget is shared across split regions; count this region's nodes
     stats.nodes = budget.nodes - spent
     stats.seconds = time.monotonic() - began
@@ -263,12 +270,17 @@ def flip_distance(
     use_splitting: bool = True,
     node_budget: int | None = None,
     time_budget: float | None = None,
+    below: int | None = None,
 ) -> DistanceResult:
     """Exact flip distance with a replayable witness path.
 
     Common diagonals are never flipped on a shortest path, so by default
     the instance is cut along them and the regions are solved separately;
     the distance is the sum and the witness is the concatenation.
+
+    `below=k` asks whether the distance is below k: if so the answer is
+    exact, else its status is "above" with a lower bound of at least k.
+    A split region gets k minus the distances of the regions before it.
     """
     if t1.n != t2.n:
         raise ValueError("triangulations live on different polygons")
@@ -276,21 +288,23 @@ def flip_distance(
     t2.require_valid()
     budget = _Budget(node_budget, time_budget)
     if t1.diagonals == t2.diagonals:
+        if below is not None and below <= 0:
+            return DistanceResult(None, None, SearchStats(), status="above")
         return DistanceResult(0, FlipPath(t1.n, t1, ()), SearchStats())
     if not use_splitting or not (t1.diagonals & t2.diagonals):
-        return _search_one(t1, t2, budget)
+        return _search_one(t1, t2, budget, below)
 
     begin = time.monotonic()
     stats = SearchStats()
     total = 0
     pieces = []
     for sub1, sub2, vmap in split_along(t1, t2):
-        res = _search_one(sub1, sub2, budget)
+        res = _search_one(sub1, sub2, budget, None if below is None else below - total)
         stats.merge(res.stats)
         if not res.exact:
             lo = total + res.lower_bound
             stats.seconds = time.monotonic() - begin
-            return DistanceResult(None, None, stats, status="budget", lower_bound=lo)
+            return DistanceResult(None, None, stats, status=res.status, lower_bound=lo)
         total += res.distance
         pieces.append((res.path, vmap))
     path = _concatenate_region_paths(t1, pieces)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .polygon import PolygonTriangulation, pair
@@ -22,6 +23,25 @@ Edge = tuple[int, int]
 def _tri(a: int, b: int, c: int) -> Triangle:
     x, y, z = sorted((a, b, c))
     return (x, y, z)
+
+
+def _link_violation(v: int, link: dict[int, list[int]]) -> str | None:
+    # the opposite edges of the triangles at v must form one closed cycle
+    for ys in link.values():
+        if len(ys) != 2:
+            return f"the link of vertex {v} is not a single cycle"
+    start = min(link)
+    prev, cur = None, start
+    length = 0
+    while True:
+        a, b = link[cur]
+        prev, cur = cur, (b if a == prev else a)
+        length += 1
+        if cur == start:
+            break
+    if length != len(link):
+        return f"the link of vertex {v} is not a single cycle"
+    return None
 
 
 @dataclass(frozen=True)
@@ -37,6 +57,11 @@ class SphereTriangulation:
 
     def validate(self) -> str | None:
         """Return a violation message, or None when this is a sphere."""
+        return self._violation
+
+    @cached_property
+    def _violation(self) -> str | None:
+        # the instance is frozen, so each sphere is checked once
         v_count = self.vertex_count
         if v_count < 4:
             return f"a sphere needs at least 4 vertices, got {v_count}"
@@ -46,19 +71,24 @@ class SphereTriangulation:
             if not all(0 <= x < v_count for x in t):
                 return f"triangle {t} uses vertices outside 0..{v_count - 1}"
         edge_count = Counter()
+        # links[v]: the opposite edges of the triangles at v, as adjacency
+        links: list[dict[int, list[int]]] = [{} for _ in range(v_count)]
         for a, b, c in self.triangles:
             edge_count[(a, b)] += 1
             edge_count[(a, c)] += 1
             edge_count[(b, c)] += 1
+            for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
+                link = links[v]
+                link.setdefault(x, []).append(y)
+                link.setdefault(y, []).append(x)
         for e, k in sorted(edge_count.items()):
             if k != 2:
                 return f"edge {e} lies in {k} triangles, expected 2"
-        seen = {x for t in self.triangles for x in t}
         for v in range(v_count):
-            if v not in seen:
+            if not links[v]:
                 return f"vertex {v} appears in no triangle"
         for v in range(v_count):
-            msg = self._link_violation(v)
+            msg = _link_violation(v, links[v])
             if msg is not None:
                 return msg
         euler = v_count - len(edge_count) + len(self.triangles)
@@ -74,32 +104,6 @@ class SphereTriangulation:
                     queue.append(w)
         if len(reached) != v_count:
             return "the triangle complex is disconnected"
-        return None
-
-    def _link_violation(self, v: int) -> str | None:
-        # opposite edges of the triangles at v must form one closed cycle
-        link: dict[int, list[int]] = {}
-        for t in self.triangles:
-            if v in t:
-                x, y = (u for u in t if u != v)
-                link.setdefault(x, []).append(y)
-                link.setdefault(y, []).append(x)
-        if not link:
-            return f"vertex {v} appears in no triangle"
-        for x, ys in link.items():
-            if len(ys) != 2:
-                return f"the link of vertex {v} is not a single cycle"
-        start = min(link)
-        prev, cur = None, start
-        length = 0
-        while True:
-            a, b = link[cur]
-            prev, cur = cur, (b if a == prev else a)
-            length += 1
-            if cur == start:
-                break
-        if length != len(link):
-            return f"the link of vertex {v} is not a single cycle"
         return None
 
     def require_valid(self) -> "SphereTriangulation":
@@ -310,13 +314,17 @@ def recut(
 
 @dataclass(frozen=True)
 class RecutSearch:
-    """Best Hamiltonian recut found, with enumeration bookkeeping."""
+    """Best Hamiltonian recut found, with enumeration bookkeeping: `nodes`
+    sums the flip-search nodes over the cycles tried, and `refuted` counts
+    the cycles the bound proved no better than an earlier one."""
 
     distance: int | None
     cycle: CycleInSphere | None
     halves: tuple[PolygonTriangulation, PolygonTriangulation] | None
     cycles_tried: int
     exhausted: bool
+    nodes: int
+    refuted: int
 
 
 def recut_min_flip(
@@ -329,10 +337,13 @@ def recut_min_flip(
     """Minimize exact flip distance over Hamiltonian recuts of the sphere.
 
     The result is an upper bound for the minimal tetrahedral decomposition
-    size.  `stop_at` ends the enumeration early once a recut at or below
-    that distance is found (useful when a matching lower bound is already
-    known); `max_cycles` and the search budgets cap the work, and the
-    `exhausted` flag records whether the enumeration ran to completion.
+    size.  Each recut only asks whether its distance is below the best so
+    far (`flip_distance(below=)`), so the first cycle reaching the minimum
+    is the one returned.  `stop_at` ends the enumeration early once a
+    recut at or below that distance is found (useful when a matching
+    lower bound is already known); `max_cycles` and the search budgets cap
+    the work, and the `exhausted` flag records whether the enumeration ran
+    to completion.
     """
     from .flipdist import flip_distance
 
@@ -340,7 +351,7 @@ def recut_min_flip(
     best = None
     best_cycle = None
     best_halves = None
-    tried = 0
+    tried = nodes = refuted = 0
     exhausted = True
     for cycle in hamiltonian_cycles(tau):
         if max_cycles is not None and tried >= max_cycles:
@@ -354,18 +365,22 @@ def recut_min_flip(
         tried += 1
         # each search gets only the time left, so the whole call keeps to
         # its budget; a stopped search returns no distance
-        res = flip_distance(half_a, half_b, node_budget=node_budget, time_budget=left)
+        res = flip_distance(half_a, half_b, node_budget=node_budget, time_budget=left, below=best)
+        nodes += res.stats.nodes
+        if res.status == "above":
+            refuted += 1
+            continue
         if res.distance is None:
             exhausted = False
             continue
-        if best is None or res.distance < best:
-            best = res.distance
-            best_cycle = cycle
-            best_halves = (half_a, half_b)
+        # an exact answer lies below the best so far
+        best = res.distance
+        best_cycle = cycle
+        best_halves = (half_a, half_b)
         if stop_at is not None and best <= stop_at:
             exhausted = False
             break
-    return RecutSearch(best, best_cycle, best_halves, tried, exhausted)
+    return RecutSearch(best, best_cycle, best_halves, tried, exhausted, nodes, refuted)
 
 
 def _simple_cycles_up_to(tau: SphereTriangulation, max_len: int) -> Iterator[tuple[int, ...]]:

@@ -45,18 +45,6 @@ class TetDecomposition:
     def __len__(self) -> int:
         return len(self.tets)
 
-    def face_counts(self) -> Counter:
-        counts: Counter = Counter()
-        for t in self.tets:
-            counts.update(_faces_of(t))
-        return counts
-
-    def boundary(self) -> frozenset[Triangle]:
-        return frozenset(f for f, k in self.face_counts().items() if k == 1)
-
-    def edges(self) -> frozenset[Edge]:
-        return frozenset(e for t in self.tets for e in _edges_of(t))
-
 
 @dataclass(frozen=True)
 class BallCertificate:
@@ -511,6 +499,9 @@ def min_tet(
             dfs(0, sphere, 0, 0, remaining, 0)
     except _SearchStop:
         pass
+    # dfs holds itself through its closure; unbinding it frees the search
+    # state now instead of at some later cyclic collection
+    del dfs
 
     floor = max(counting_lower_bound(tau), euler)
     if complete and (budget_tets is None or best <= budget_tets):

@@ -123,6 +123,16 @@ def test_recut_search_reports_distance_and_cycle(sphere_file, capsys):
     assert lines[0] == "distance 7"
     assert lines[1].startswith("cycle ")
     assert lines[2].startswith("tried ")
+    assert lines[3] == "nodes 67 refuted 0"
+
+
+def test_recut_exhaustive_reports_nodes_and_refuted(sphere_file, capsys):
+    # the first cycle is optimal, so each later one is refuted by the bound
+    code = main(["recut", "--sphere", str(sphere_file)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "distance 7"
+    assert lines[2:] == ["tried 60 cycles (exhausted)", "nodes 666 refuted 59"]
 
 
 def test_recut_rejects_short_cycle(sphere_file, capsys):

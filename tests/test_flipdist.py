@@ -208,6 +208,46 @@ def test_budget_lower_bound_is_admissible():
             assert res.distance == want
 
 
+def test_below_answers_whether_the_distance_is_below_k():
+    # at k = d+1 and d+3 the answer is the exact distance with a path that
+    # replays; at every k in d-3..d it is refuted with a bound of at least k
+    rng = random.Random(15)
+    split = 0
+    for _ in range(300):
+        n = rng.randrange(5, 13)
+        t1 = random_triangulation(n, rng)
+        t2 = random_triangulation(n, rng)
+        d = flip_distance(t1, t2).distance
+        split += len(split_along(t1, t2)) > 1
+        for k in (d + 1, d + 3):
+            res = flip_distance(t1, t2, below=k)
+            assert res.exact and res.distance == d
+            states = res.path.states()
+            assert len(states) == d + 1 and states[0] == t1 and states[-1] == t2
+        for k in range(d - 3, d + 1):
+            res = flip_distance(t1, t2, below=k)
+            assert res.status == "above"
+            assert res.distance is None and res.path is None
+            assert k <= res.lower_bound <= max(d, 0)
+    assert split >= 50
+
+
+def test_below_with_node_and_time_budgets():
+    top, bottom = top_triangulation(4), bottom_triangulation(4)
+    # the budget runs out first: status budget, an admissible bound
+    res = flip_distance(top, bottom, below=14, node_budget=50)
+    assert res.status == "budget" and res.stats.nodes == 51
+    assert res.lower_bound <= 13
+    res = flip_distance(top, bottom, below=14, time_budget=0.0)
+    assert res.status == "budget" and res.lower_bound <= 13
+    # the bound refutes within the budget
+    res = flip_distance(top, bottom, below=13, node_budget=10_000, time_budget=60.0)
+    assert res.status == "above" and res.lower_bound >= 13
+    assert res.stats.nodes <= 10_000
+    res = flip_distance(top, bottom, below=14, node_budget=10_000, time_budget=60.0)
+    assert res.exact and res.distance == 13
+
+
 def test_extra_diagonals_empty_path():
     t = fan(7, 0)
     assert extra_diagonals(FlipPath(7, t, ())) == frozenset()

@@ -8,6 +8,7 @@ from itertools import islice
 import pytest
 
 from fliptet.family import bottom_triangulation, fan, top_triangulation
+from fliptet.flipdist import flip_distance
 from fliptet.polygon import PolygonTriangulation, random_triangulation
 from fliptet.sphere import (
     BadCycleReport,
@@ -231,6 +232,26 @@ def test_recut_min_flip_cycle_budget():
     assert res.cycles_tried == 4
     assert not res.exhausted
     assert res.distance is not None
+
+
+def test_recut_min_flip_matches_brute_minimum():
+    # the bounded searches pick the same first minimizing cycle as exact
+    # distances over every cycle; only improvements are searched to the end
+    rng = random.Random(23)
+    for _ in range(30):
+        tau = random_glued(rng.randrange(6, 10), rng)
+        best = best_cycle = None
+        improved = 0
+        for cycle in hamiltonian_cycles(tau):
+            half_a, half_b, _ = recut(tau, cycle)
+            d = flip_distance(half_a, half_b).distance
+            if best is None or d < best:
+                best, best_cycle = d, cycle
+                improved += 1
+        res = recut_min_flip(tau)
+        assert (res.distance, res.cycle, res.exhausted) == (best, best_cycle, True)
+        assert res.halves == recut(tau, best_cycle)[:2]
+        assert res.refuted == res.cycles_tried - improved
 
 
 def test_recut_min_flip_time_budget_is_a_deadline(monkeypatch):

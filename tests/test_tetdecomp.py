@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+from collections import Counter
 from itertools import combinations
 from random import Random
 
@@ -58,8 +60,8 @@ def test_decomposition_basics():
     d = TetDecomposition.of(4, [(3, 2, 1, 0)])
     assert len(d) == 1
     assert d.tets == frozenset({(0, 1, 2, 3)})
-    assert d.boundary() == tetrahedron().triangles
-    assert len(d.edges()) == 6
+    cert = validate_ball(tetrahedron(), d)
+    assert (cert.edges, cert.faces) == (6, 4)
 
 
 def test_single_flip_gives_one_tetrahedron():
@@ -67,7 +69,7 @@ def test_single_flip_gives_one_tetrahedron():
     path = FlipPath.from_removals(top, [(0, 2)])
     d = from_flip_path(top, path.end(), path)
     assert d.tets == frozenset({(0, 1, 2, 3)})
-    assert d.boundary() == tetrahedron().triangles
+    validate_ball(tetrahedron(), d)
 
 
 def test_flip_path_stack_validates_on_family():
@@ -79,10 +81,11 @@ def test_flip_path_stack_validates_on_family():
         cert = validate_ball(tau, d)
         assert cert.euler == 1
         assert cert.collapsible is True
-        assert d.boundary() == tau.triangles
         # every tet face is a boundary face once or an interior face twice
+        faces = Counter(f for t in d.tets for f in combinations(t, 3))
+        assert {f for f, k in faces.items() if k == 1} == tau.triangles
         boundary = 4 * n + 4
-        interior = len(d.face_counts()) - boundary
+        interior = len(faces) - boundary
         assert 4 * len(d) == boundary + 2 * interior
 
 
@@ -259,6 +262,20 @@ def test_min_tet_family_two():
     validate_ball(tau, res.witness)
 
 
+@pytest.mark.parametrize("stop_at", [None, 9], ids=["complete", "stopped"])
+def test_min_tet_leaves_no_reference_cycle(stop_at):
+    # the search state must go when the call returns, not wait for the
+    # cyclic collector
+    tau = glued_family(3)
+    gc.collect()
+    gc.disable()
+    try:
+        assert min_tet(tau, stop_at=stop_at).size == 9
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_min_tet_family_three():
     tau = glued_family(3)
     res = min_tet(tau)
@@ -368,7 +385,8 @@ def test_min_tet_matches_fill_oracle_on_random_spheres():
 
 def _euler_count(tau, d):
     # V - 3 + interior edges: the size of any ball with all vertices on tau
-    return tau.vertex_count - 3 + len(d.edges() - tau.edges())
+    edges = {e for t in d.tets for e in combinations(t, 2)}
+    return tau.vertex_count - 3 + len(edges - tau.edges())
 
 
 def test_euler_count_gives_the_size_of_every_ball():
