@@ -87,7 +87,7 @@ def top_triangulation(n: int) -> PolygonTriangulation:
     diags = {pair(lab.B, lab.C)}
     diags |= {pair(lab.B, lab.u(i)) for i in range(1, n + 1)}
     diags |= {pair(lab.C, lab.v(j)) for j in range(1, n + 1)}
-    return PolygonTriangulation(lab.polygon_size, frozenset(diags)).require_valid()
+    return PolygonTriangulation(lab.polygon_size, frozenset(diags))
 
 
 def bottom_triangulation(n: int) -> PolygonTriangulation:
@@ -96,7 +96,7 @@ def bottom_triangulation(n: int) -> PolygonTriangulation:
     diags = {pair(lab.A, lab.D)}
     diags |= {pair(lab.A, lab.u(i)) for i in range(1, n + 1)}
     diags |= {pair(lab.D, lab.v(j)) for j in range(1, n + 1)}
-    return PolygonTriangulation(lab.polygon_size, frozenset(diags)).require_valid()
+    return PolygonTriangulation(lab.polygon_size, frozenset(diags))
 
 
 def explicit_flip_path(n: int) -> FlipPath:

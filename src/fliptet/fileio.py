@@ -63,11 +63,11 @@ def _header(parts: list[str], lineno: int, *keywords: str) -> int:
     return _ints(parts[len(keywords) :], lineno)[0]
 
 
-def _wrap_invalid(obj, kind: str):
-    msg = obj.validate()
-    if msg is not None:
-        raise FileFormatError(f"not a valid {kind}: {msg}")
-    return obj
+def _wrap_invalid(kind: str, build, *args):
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise FileFormatError(f"not a valid {kind}: {e}") from None
 
 
 def parse_polygon(text: str) -> PolygonTriangulation:
@@ -89,7 +89,7 @@ def parse_polygon(text: str) -> PolygonTriangulation:
         diagonals.add(pair(a, b))
     if n is None:
         raise FileFormatError("empty input; expected a polygon file")
-    return _wrap_invalid(PolygonTriangulation.of(n, diagonals), "triangulation")
+    return _wrap_invalid("triangulation", PolygonTriangulation.of, n, diagonals)
 
 
 def emit_polygon(t: PolygonTriangulation, comment: str | None = None) -> str:
@@ -128,7 +128,7 @@ def parse_path(text: str) -> FlipPath:
             )
     if n is None:
         raise FileFormatError("empty input; expected a path file")
-    start = _wrap_invalid(PolygonTriangulation.of(n, diagonals), "triangulation")
+    start = _wrap_invalid("triangulation", PolygonTriangulation.of, n, diagonals)
     path = FlipPath(n, start, tuple(steps))
     try:
         path.states()
@@ -180,7 +180,7 @@ def parse_sphere(text: str) -> tuple[SphereTriangulation, tuple[int, ...] | None
             )
     if v is None:
         raise FileFormatError("empty input; expected a sphere file")
-    return _wrap_invalid(SphereTriangulation.of(v, triangles), "sphere"), cycle
+    return _wrap_invalid("sphere", SphereTriangulation.of, v, triangles), cycle
 
 
 def emit_sphere(

@@ -284,8 +284,6 @@ def flip_distance(
     """
     if t1.n != t2.n:
         raise ValueError("triangulations live on different polygons")
-    t1.require_valid()
-    t2.require_valid()
     budget = _Budget(node_budget, time_budget)
     if t1.diagonals == t2.diagonals:
         if below is not None and below <= 0:

@@ -334,7 +334,6 @@ def l1_min(tau: SphereTriangulation) -> LPSolution:
     the same pivots run again in exact rationals under the same checks.
     Every returned number is therefore a certified rational.
     """
-    tau.require_valid()
     v_count = tau.vertex_count
     if v_count > MAX_VERTICES:
         raise BudgetExceeded(

@@ -16,9 +16,6 @@ from random import Random
 
 Diagonal = tuple[int, int]
 
-# A quadrilateral is 4 vertices in cyclic (= ascending index) order.
-Quadrilateral = tuple[int, int, int, int]
-
 
 def pair(a: int, b: int) -> Diagonal:
     return (a, b) if a < b else (b, a)
@@ -41,7 +38,11 @@ def crosses(d1: Diagonal, d2: Diagonal) -> bool:
 
 @dataclass(frozen=True)
 class PolygonTriangulation:
-    """A set of n-3 pairwise noncrossing diagonals of the n-gon."""
+    """A set of n-3 pairwise noncrossing diagonals of the n-gon.
+
+    Construction checks the set and raises ValueError at the first
+    violation, so every instance is a valid triangulation.
+    """
 
     n: int
     diagonals: frozenset[Diagonal]
@@ -55,30 +56,22 @@ class PolygonTriangulation:
         """Canonical hashable form (used as search-state identity)."""
         return (self.n, tuple(sorted(self.diagonals)))
 
-    def validate(self) -> str | None:
-        """None if valid, else a message naming the first violation."""
+    def __post_init__(self):
         if self.n < 3:
-            return f"polygon needs at least 3 vertices, got n={self.n}"
+            raise ValueError(f"polygon needs at least 3 vertices, got n={self.n}")
         for a, b in sorted(self.diagonals):
             if not (0 <= a < b < self.n):
-                return f"vertex pair ({a},{b}) out of range for n={self.n}"
+                raise ValueError(f"vertex pair ({a},{b}) out of range for n={self.n}")
             if is_boundary_edge(self.n, a, b):
-                return f"({a},{b}) is a boundary edge, not a diagonal"
+                raise ValueError(f"({a},{b}) is a boundary edge, not a diagonal")
         if len(self.diagonals) != self.n - 3:
-            return (
+            raise ValueError(
                 f"expected {self.n - 3} diagonals for n={self.n}, "
                 f"got {len(self.diagonals)}"
             )
         for d1, d2 in combinations(sorted(self.diagonals), 2):
             if crosses(d1, d2):
-                return f"diagonals {d1} and {d2} cross"
-        return None
-
-    def require_valid(self) -> "PolygonTriangulation":
-        msg = self.validate()
-        if msg is not None:
-            raise ValueError(msg)
-        return self
+                raise ValueError(f"diagonals {d1} and {d2} cross")
 
     def boundary_edges(self) -> frozenset[Diagonal]:
         n = self.n
@@ -126,14 +119,6 @@ class PolygonTriangulation:
             raise ValueError(f"diagonal {d} does not bound two triangles")
         return apexes[0], apexes[1]
 
-    def quad_of(self, d: Diagonal) -> Quadrilateral:
-        """The quadrilateral formed by the two triangles adjacent to d."""
-        d = pair(*d)
-        if d not in self.diagonals:
-            raise ValueError(f"{d} is not a diagonal of this triangulation")
-        x, y = self._apexes(d)
-        return tuple(sorted((d[0], d[1], x, y)))
-
     def flip(self, d: Diagonal) -> tuple["PolygonTriangulation", Diagonal]:
         """Replace d by the opposite diagonal of its quadrilateral.
 
@@ -144,14 +129,11 @@ class PolygonTriangulation:
         if d not in self.diagonals:
             raise ValueError(f"{d} is not a diagonal of this triangulation")
         inserted = pair(*self._apexes(d))
-        return (
-            PolygonTriangulation(self.n, self.diagonals - {d} | {inserted}),
-            inserted,
-        )
-
-    def neighbors(self) -> list["PolygonTriangulation"]:
-        """The n-3 triangulations one flip away."""
-        return [self.flip(d)[0] for d in sorted(self.diagonals)]
+        # a flip maps a triangulation to a triangulation: skip the O(n^2) check
+        flipped = object.__new__(PolygonTriangulation)
+        object.__setattr__(flipped, "n", self.n)
+        object.__setattr__(flipped, "diagonals", self.diagonals - {d} | {inserted})
+        return flipped, inserted
 
 
 @dataclass(frozen=True)
@@ -174,7 +156,6 @@ class FlipPath:
         """All intermediate triangulations, start first, end last."""
         if self.start.n != self.n:
             raise ValueError("start triangulation has the wrong vertex count")
-        self.start.require_valid()
         out = [self.start]
         cur = self.start
         for i, (removed, inserted) in enumerate(self.steps):
@@ -198,7 +179,7 @@ class FlipPath:
     ) -> "FlipPath":
         """Build a path by flipping the given diagonals in order."""
         steps = []
-        cur = start.require_valid()
+        cur = start
         for d in removals:
             cur, inserted = cur.flip(d)
             steps.append((pair(*d), inserted))

@@ -97,7 +97,6 @@ def _grid_origin(k: int) -> tuple[float, float]:
 
 
 def render_polygon(t: PolygonTriangulation) -> str:
-    t.require_valid()
     return _document(1, _cell(t, 0, 0))
 
 
@@ -115,13 +114,12 @@ def render_path(p: FlipPath) -> str:
 def render_sphere(
     tau: SphereTriangulation, cycle: tuple[int, ...] | None = None
 ) -> str:
-    tau.require_valid()
     if cycle is None:
         found = next(hamiltonian_cycles(tau), None)
         if found is None:
             raise ValueError("the sphere has no Hamiltonian cycle to cut along")
     else:
-        found = CycleInSphere(tau, tuple(cycle)).require_valid()
+        found = CycleInSphere(tau, tuple(cycle))
     half_a, half_b, labeling = recut(tau, found)
     labels = [str(v) for v in labeling]
     body = _cell(half_a, 0, 0, labels=labels)

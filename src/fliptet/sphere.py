@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 from .polygon import PolygonTriangulation, pair
@@ -25,11 +24,10 @@ def _tri(a: int, b: int, c: int) -> Triangle:
     return (x, y, z)
 
 
-def _link_violation(v: int, link: dict[int, list[int]]) -> str | None:
-    # the opposite edges of the triangles at v must form one closed cycle
-    for ys in link.values():
-        if len(ys) != 2:
-            return f"the link of vertex {v} is not a single cycle"
+def _is_single_cycle(link: dict[int, list[int]]) -> bool:
+    # the opposite edges of the triangles at a vertex form one closed cycle
+    if any(len(ys) != 2 for ys in link.values()):
+        return False
     start = min(link)
     prev, cur = None, start
     length = 0
@@ -38,15 +36,16 @@ def _link_violation(v: int, link: dict[int, list[int]]) -> str | None:
         prev, cur = cur, (b if a == prev else a)
         length += 1
         if cur == start:
-            break
-    if length != len(link):
-        return f"the link of vertex {v} is not a single cycle"
-    return None
+            return length == len(link)
 
 
 @dataclass(frozen=True)
 class SphereTriangulation:
-    """A triangulated 2-sphere on vertices 0..vertex_count-1."""
+    """A triangulated 2-sphere on vertices 0..vertex_count-1.
+
+    Construction checks the complex and raises ValueError at the first
+    violation, so every instance is a sphere.
+    """
 
     vertex_count: int
     triangles: frozenset[Triangle]
@@ -55,21 +54,15 @@ class SphereTriangulation:
     def of(cls, vertex_count: int, triangles) -> "SphereTriangulation":
         return cls(vertex_count, frozenset(_tri(*t) for t in triangles))
 
-    def validate(self) -> str | None:
-        """Return a violation message, or None when this is a sphere."""
-        return self._violation
-
-    @cached_property
-    def _violation(self) -> str | None:
-        # the instance is frozen, so each sphere is checked once
+    def __post_init__(self):
         v_count = self.vertex_count
         if v_count < 4:
-            return f"a sphere needs at least 4 vertices, got {v_count}"
+            raise ValueError(f"a sphere needs at least 4 vertices, got {v_count}")
         for t in sorted(self.triangles):
             if len(set(t)) != 3:
-                return f"triangle {t} has repeated vertices"
+                raise ValueError(f"triangle {t} has repeated vertices")
             if not all(0 <= x < v_count for x in t):
-                return f"triangle {t} uses vertices outside 0..{v_count - 1}"
+                raise ValueError(f"triangle {t} uses vertices outside 0..{v_count - 1}")
         edge_count = Counter()
         # links[v]: the opposite edges of the triangles at v, as adjacency
         links: list[dict[int, list[int]]] = [{} for _ in range(v_count)]
@@ -83,17 +76,16 @@ class SphereTriangulation:
                 link.setdefault(y, []).append(x)
         for e, k in sorted(edge_count.items()):
             if k != 2:
-                return f"edge {e} lies in {k} triangles, expected 2"
+                raise ValueError(f"edge {e} lies in {k} triangles, expected 2")
         for v in range(v_count):
             if not links[v]:
-                return f"vertex {v} appears in no triangle"
+                raise ValueError(f"vertex {v} appears in no triangle")
         for v in range(v_count):
-            msg = _link_violation(v, links[v])
-            if msg is not None:
-                return msg
+            if not _is_single_cycle(links[v]):
+                raise ValueError(f"the link of vertex {v} is not a single cycle")
         euler = v_count - len(edge_count) + len(self.triangles)
         if euler != 2:
-            return f"Euler characteristic is {euler}, expected 2"
+            raise ValueError(f"Euler characteristic is {euler}, expected 2")
         reached = {0}
         queue = deque([0])
         nbrs = self.neighbors()
@@ -103,14 +95,7 @@ class SphereTriangulation:
                     reached.add(w)
                     queue.append(w)
         if len(reached) != v_count:
-            return "the triangle complex is disconnected"
-        return None
-
-    def require_valid(self) -> "SphereTriangulation":
-        msg = self.validate()
-        if msg is not None:
-            raise ValueError(msg)
-        return self
+            raise ValueError("the triangle complex is disconnected")
 
     def edges(self) -> frozenset[Edge]:
         out = set()
@@ -151,8 +136,6 @@ def glue(top: PolygonTriangulation, bottom: PolygonTriangulation) -> SphereTrian
     neighboring triangles would form two doubled quadrilaterals), so the
     caller should split along common diagonals first and glue the pieces.
     """
-    top.require_valid()
-    bottom.require_valid()
     if top.n != bottom.n:
         raise ValueError(f"polygon sizes differ: {top.n} vs {bottom.n}")
     common = sorted(top.diagonals & bottom.diagonals)
@@ -161,34 +144,33 @@ def glue(top: PolygonTriangulation, bottom: PolygonTriangulation) -> SphereTrian
     shared = sorted(top.triangles() & bottom.triangles())
     if shared:
         raise ValueError(f"gluing would double the triangles {shared}; the result is not simplicial")
-    return SphereTriangulation.of(top.n, top.triangles() | bottom.triangles()).require_valid()
+    return SphereTriangulation.of(top.n, top.triangles() | bottom.triangles())
 
 
 @dataclass(frozen=True)
 class CycleInSphere:
-    """A simple cycle along edges of a sphere, as an ordered vertex tuple."""
+    """A simple cycle along edges of a sphere, as an ordered vertex tuple.
+
+    Construction checks the cycle and raises ValueError at the first
+    violation.
+    """
 
     sphere: SphereTriangulation
     vertices: tuple[int, ...]
 
-    def validate(self) -> str | None:
+    def __post_init__(self):
         verts = self.vertices
         if len(verts) < 3:
-            return f"a cycle needs at least 3 vertices, got {len(verts)}"
+            raise ValueError(f"a cycle needs at least 3 vertices, got {len(verts)}")
         if len(set(verts)) != len(verts):
-            return "the cycle repeats a vertex"
+            raise ValueError("the cycle repeats a vertex")
         edges = self.sphere.edges()
         for i, a in enumerate(verts):
             b = verts[(i + 1) % len(verts)]
             if pair(a, b) not in edges:
-                return f"consecutive cycle vertices {a} and {b} are not an edge of the sphere"
-        return None
-
-    def require_valid(self) -> "CycleInSphere":
-        msg = self.validate()
-        if msg is not None:
-            raise ValueError(msg)
-        return self
+                raise ValueError(
+                    f"consecutive cycle vertices {a} and {b} are not an edge of the sphere"
+                )
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -220,7 +202,6 @@ class CycleInSphere:
         Computed by flooding the dual graph without crossing cycle edges.
         The side containing the smallest triangle comes first.
         """
-        self.require_valid()
         cycle_edges = self.edges()
         edge_faces = self.sphere.edge_faces()
         faces = sorted(self.sphere.triangles)
@@ -257,27 +238,27 @@ def hamiltonian_cycles(tau: SphereTriangulation) -> Iterator[CycleInSphere]:
     than its last, so each undirected cycle appears exactly once.  The
     enumeration is lazy: take the first k with `itertools.islice`.
     """
-    tau.require_valid()
-    v_count = tau.vertex_count
     nbrs = {v: sorted(ns) for v, ns in tau.neighbors().items()}
-    path = [0]
-    used = [False] * v_count
+    used = [False] * tau.vertex_count
     used[0] = True
+    for verts in _hamiltonian_paths(nbrs, [0], used):
+        yield CycleInSphere(tau, verts)
 
-    def extend() -> Iterator[CycleInSphere]:
-        if len(path) == v_count:
-            if 0 in nbrs[path[-1]] and path[1] < path[-1]:
-                yield CycleInSphere(tau, tuple(path))
-            return
-        for w in nbrs[path[-1]]:
-            if not used[w]:
-                used[w] = True
-                path.append(w)
-                yield from extend()
-                path.pop()
-                used[w] = False
 
-    yield from extend()
+def _hamiltonian_paths(nbrs, path: list[int], used: list[bool]) -> Iterator[tuple[int, ...]]:
+    # a module-level recursion, so no closure refers to itself and a call
+    # leaves no reference cycle behind
+    if len(path) == len(used):
+        if path[0] in nbrs[path[-1]] and path[1] < path[-1]:
+            yield tuple(path)
+        return
+    for w in nbrs[path[-1]]:
+        if not used[w]:
+            used[w] = True
+            path.append(w)
+            yield from _hamiltonian_paths(nbrs, path, used)
+            path.pop()
+            used[w] = False
 
 
 def recut(
@@ -289,7 +270,6 @@ def recut(
     polygon vertex i stands for; gluing the two triangulations back and
     relabeling through it reproduces the sphere exactly.
     """
-    cycle.require_valid()
     if cycle.sphere != tau:
         raise ValueError("the cycle belongs to a different sphere")
     if not cycle.is_hamiltonian():
@@ -306,7 +286,7 @@ def recut(
                 i, j = pos[x], pos[y]
                 if (i - j) % v_count != 1 and (j - i) % v_count != 1:
                     diagonals.add(pair(i, j))
-        return PolygonTriangulation.of(v_count, diagonals).require_valid()
+        return PolygonTriangulation.of(v_count, diagonals)
 
     side_a, side_b = cycle.sides()
     return to_polygon(side_a), to_polygon(side_b), cycle.vertices
@@ -387,22 +367,24 @@ def _simple_cycles_up_to(tau: SphereTriangulation, max_len: int) -> Iterator[tup
     # anchored at their smallest vertex, second vertex < last: one
     # representative per rotation/reflection class
     nbrs = {v: sorted(ns) for v, ns in tau.neighbors().items()}
-
-    def extend(anchor: int, path: list[int], used: set[int]) -> Iterator[tuple[int, ...]]:
-        if len(path) >= 3 and anchor in nbrs[path[-1]] and path[1] < path[-1]:
-            yield tuple(path)
-        if len(path) == max_len:
-            return
-        for w in nbrs[path[-1]]:
-            if w > anchor and w not in used:
-                used.add(w)
-                path.append(w)
-                yield from extend(anchor, path, used)
-                path.pop()
-                used.remove(w)
-
     for anchor in range(tau.vertex_count):
-        yield from extend(anchor, [anchor], {anchor})
+        yield from _cycle_paths(nbrs, max_len, [anchor], {anchor})
+
+
+def _cycle_paths(nbrs, max_len: int, path: list[int], used: set[int]) -> Iterator[tuple[int, ...]]:
+    # like _hamiltonian_paths: the anchor is path[0], the smallest vertex
+    anchor = path[0]
+    if len(path) >= 3 and anchor in nbrs[path[-1]] and path[1] < path[-1]:
+        yield tuple(path)
+    if len(path) == max_len:
+        return
+    for w in nbrs[path[-1]]:
+        if w > anchor and w not in used:
+            used.add(w)
+            path.append(w)
+            yield from _cycle_paths(nbrs, max_len, path, used)
+            path.pop()
+            used.remove(w)
 
 
 @dataclass(frozen=True)
@@ -422,7 +404,6 @@ class BadCycleReport:
 
 
 def bad_cycle_report(tau: SphereTriangulation) -> BadCycleReport:
-    tau.require_valid()
     deg = tau.degrees()
     max_len = max(deg.values()) - 1
     bad = []
@@ -450,11 +431,6 @@ def bad_cycle_report(tau: SphereTriangulation) -> BadCycleReport:
     return BadCycleReport(tuple(bad), closed, examined)
 
 
-def bad_cycles(tau: SphereTriangulation) -> list[CycleInSphere]:
-    """All bad cycles: each open side holds a vertex of degree > length."""
-    return list(bad_cycle_report(tau).bad)
-
-
 def cone_decomposition(tau: SphereTriangulation, v: int):
     """Cone the sphere from one of its vertices.
 
@@ -463,7 +439,6 @@ def cone_decomposition(tau: SphereTriangulation, v: int):
     """
     from .tetdecomp import TetDecomposition
 
-    tau.require_valid()
     if not 0 <= v < tau.vertex_count:
         raise ValueError(f"vertex {v} is outside 0..{tau.vertex_count - 1}")
     tets = frozenset(
@@ -473,7 +448,6 @@ def cone_decomposition(tau: SphereTriangulation, v: int):
 
 
 def degree_histogram(tau: SphereTriangulation) -> dict[int, int]:
-    tau.require_valid()
     return dict(sorted(Counter(tau.degrees().values()).items()))
 
 
@@ -495,7 +469,6 @@ def oriented_faces(tau: SphereTriangulation) -> tuple[Triangle, ...]:
     triangles induce opposite directions on their shared edge.  Returned
     in order of the sorted triangle list.
     """
-    tau.require_valid()
     edge_faces = tau.edge_faces()
     faces = sorted(tau.triangles)
     orient: dict[Triangle, tuple[int, int, int]] = {faces[0]: faces[0]}
@@ -531,7 +504,6 @@ def canonical_certificate(tau: SphereTriangulation) -> tuple:
     relabeled triangle list over all starts is the certificate.  Two
     spheres are isomorphic exactly when their certificates agree.
     """
-    tau.require_valid()
     rot_fwd = _rotations(tau)
     rot_rev = {
         v: {b: a for a, b in m.items()} for v, m in rot_fwd.items()
@@ -592,5 +564,5 @@ def double_disk_sphere() -> tuple[SphereTriangulation, CycleInSphere]:
 
     disk(0, range(1, 6), range(6, 11))
     disk(16, range(17, 22), range(22, 27))
-    tau = SphereTriangulation.of(27, faces).require_valid()
-    return tau, CycleInSphere(tau, seam).require_valid()
+    tau = SphereTriangulation.of(27, faces)
+    return tau, CycleInSphere(tau, seam)

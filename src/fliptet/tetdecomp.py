@@ -214,7 +214,6 @@ def validate_ball(tau: SphereTriangulation, decomposition: TetDecomposition) -> 
     attempted last and recorded; a stall downgrades `collapsible` to None
     instead of failing, since greedy stalls do not disprove ballness.
     """
-    tau.require_valid()
     if decomposition.vertex_count != tau.vertex_count:
         raise ValueError(
             f"vertex counts differ: {decomposition.vertex_count} vs {tau.vertex_count}"
@@ -231,8 +230,6 @@ def from_flip_path(
     removed diagonal on the top side and the inserted one below; the
     stack's boundary is the sphere glued from the two triangulations.
     """
-    top.require_valid()
-    bottom.require_valid()
     if path.start != top:
         raise ValueError("the path does not start at the top triangulation")
     if path.end() != bottom:
@@ -260,7 +257,6 @@ def no_three_face_tet(tau: SphereTriangulation) -> tuple[bool, Tet | None]:
     to scan, for every edge, the 4-subset spanned by its two triangles.
     Returns (False, witness 4-subset) when one exists.
     """
-    tau.require_valid()
     for e, (f1, f2) in sorted(tau.edge_faces().items()):
         quad = tuple(sorted(set(f1) | set(f2)))
         carried = sum(
@@ -273,7 +269,6 @@ def no_three_face_tet(tau: SphereTriangulation) -> tuple[bool, Tet | None]:
 
 def is_bipyramid(tau: SphereTriangulation) -> bool:
     """True when tau is a double cone: two nonadjacent apexes over a cycle."""
-    tau.require_valid()
     v_count = tau.vertex_count
     nbrs = tau.neighbors()
     deg = tau.degrees()
@@ -320,7 +315,6 @@ def counting_lower_bound(tau: SphereTriangulation) -> int:
     bipyramid around it.  Off the bipyramid, then, E_i >= 2 and the bound
     is V - 1.
     """
-    tau.require_valid()
     if not no_three_face_tet(tau)[0]:
         return ceil(tau.face_count() / 4)
     edges = tau.edges()
@@ -403,7 +397,6 @@ def min_tet(
     """
     from .sphere import cone_decomposition
 
-    tau.require_valid()
     v_count = tau.vertex_count
 
     # cone incumbent: one tetrahedron per face missing the apex
@@ -551,8 +544,6 @@ def paired_cone_decomposition(
     the pentagonal one, and is filled with the 5 tetrahedra through the
     v1-v2 axis.  The result is validated before it is returned.
     """
-    tau.require_valid()
-    seam.require_valid()
     if seam.sphere != tau:
         raise ValueError("the seam belongs to a different sphere")
     if v1 == v2:

@@ -71,8 +71,6 @@ def test_bottom_n2_frozen_value():
 def test_family_triangulations_valid():
     for n in range(2, 21):
         top, bottom = top_triangulation(n), bottom_triangulation(n)
-        assert top.validate() is None
-        assert bottom.validate() is None
         assert len(top.diagonals) == 2 * n + 1
         assert is_valid_triangulation(top.n, top.diagonals)
         assert is_valid_triangulation(bottom.n, bottom.diagonals)

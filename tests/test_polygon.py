@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -69,27 +70,33 @@ def test_crosses_matches_geometry_oracle(n, data):
 
 
 def test_validate_ok_square():
-    assert PolygonTriangulation.of(4, {(0, 2)}).validate() is None
+    # `of` sorts each pair before the constructor checks it
+    assert PolygonTriangulation.of(4, {(2, 0)}).diagonals == {(0, 2)}
+
+
+def _rejects(n, diagonals, msg):
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        PolygonTriangulation.of(n, diagonals)
 
 
 def test_validate_crossing_pair():
-    msg = PolygonTriangulation.of(5, {(0, 2), (1, 3)}).validate()
-    assert msg is not None and "cross" in msg
+    _rejects(5, {(0, 2), (1, 3)}, "diagonals (0, 2) and (1, 3) cross")
 
 
 def test_validate_boundary_edge_rejected():
-    msg = PolygonTriangulation.of(5, {(0, 1), (0, 2)}).validate()
-    assert msg is not None and "boundary" in msg
+    _rejects(5, {(0, 1), (0, 2)}, "(0,1) is a boundary edge, not a diagonal")
 
 
 def test_validate_wrong_count():
-    msg = PolygonTriangulation.of(6, {(0, 2)}).validate()
-    assert msg is not None and "expected" in msg
+    _rejects(6, {(0, 2)}, "expected 3 diagonals for n=6, got 1")
 
 
 def test_validate_out_of_range():
-    msg = PolygonTriangulation.of(4, {(0, 9)}).validate()
-    assert msg is not None and "range" in msg
+    _rejects(4, {(0, 9)}, "vertex pair (0,9) out of range for n=4")
+    _rejects(2, set(), "polygon needs at least 3 vertices, got n=2")
+    # the constructor takes pairs as given; only `of` sorts them
+    with pytest.raises(ValueError, match=f"^{re.escape('vertex pair (2,0) out of range for n=4')}$"):
+        PolygonTriangulation(4, frozenset({(2, 0)}))
 
 
 def test_triangles_square():
@@ -133,7 +140,8 @@ def test_flip_involution(n, rng):
     t = random_triangulation(n, rng)
     d = rng.choice(sorted(t.diagonals))
     t2, inserted = t.flip(d)
-    assert t2.validate() is None
+    # flip skips the constructor's check; the constructor accepts its result
+    assert PolygonTriangulation(t2.n, t2.diagonals) == t2
     t3, back = t2.flip(inserted)
     assert back == pair(*d)
     assert t3 == t
@@ -142,21 +150,26 @@ def test_flip_involution(n, rng):
 @given(st.integers(4, 11), st.randoms(use_true_random=False))
 def test_neighbor_count(n, rng):
     t = random_triangulation(n, rng)
-    ns = t.neighbors()
+    ns = [t.flip(d)[0] for d in sorted(t.diagonals)]
     assert len(ns) == n - 3
     assert len({x.key() for x in ns}) == n - 3
     for x in ns:
-        assert x.validate() is None
+        assert PolygonTriangulation(x.n, x.diagonals) == x
+
+
+def quad_of(t: PolygonTriangulation, d) -> tuple[int, ...]:
+    """The quadrilateral of the two triangles at d: both flip diagonals' ends."""
+    return tuple(sorted(set(d) | set(t.flip(d)[1])))
 
 
 def test_quad_of_square():
     t = PolygonTriangulation.of(4, {(0, 2)})
-    assert t.quad_of((0, 2)) == (0, 1, 2, 3)
+    assert quad_of(t, (0, 2)) == (0, 1, 2, 3)
 
 
 def test_quad_of_fan():
     t = fan(5)
-    assert t.quad_of((0, 2)) == (0, 1, 2, 3)
+    assert quad_of(t, (0, 2)) == (0, 1, 2, 3)
 
 
 def test_quad_diagonals_cross():
@@ -165,7 +178,7 @@ def test_quad_diagonals_cross():
         n = rng.randrange(5, 12)
         t = random_triangulation(n, rng)
         d = rng.choice(sorted(t.diagonals))
-        q = t.quad_of(d)
+        q = quad_of(t, d)
         other = tuple(sorted(set(q) - set(d)))
         assert crosses(d, other)
 
@@ -200,8 +213,8 @@ def test_split_along_regions_cover():
         t2 = random_triangulation(n, rng)
         subs = split_along(t1, t2)
         for sub1, sub2, vmap in subs:
-            assert sub1.validate() is None
-            assert sub2.validate() is None
+            assert is_valid_triangulation(sub1.n, sub1.diagonals)
+            assert is_valid_triangulation(sub2.n, sub2.diagonals)
             assert not common_diagonals(sub1, sub2)
             assert len(vmap) == sub1.n
         # every non-common diagonal lands in exactly one region
@@ -236,7 +249,6 @@ def test_random_triangulation_valid_and_uniformish():
     rng = random.Random(0)
     for n in (4, 5, 6, 7, 10, 13):
         t = random_triangulation(n, rng)
-        assert t.validate() is None
         assert is_valid_triangulation(n, t.diagonals)
     # all Catalan(4) = 14 hexagon triangulations show up
     seen = {random_triangulation(6, rng).key() for _ in range(2000)}
@@ -259,6 +271,6 @@ def test_neighbors_match_oracle():
     for _ in range(20):
         n = rng.randrange(5, 9)
         t = random_triangulation(n, rng)
-        mine = {x.diagonals for x in t.neighbors()}
+        mine = {t.flip(d)[0].diagonals for d in t.diagonals}
         oracle = set(oracle_neighbors(n, t.diagonals))
         assert mine == oracle

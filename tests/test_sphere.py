@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import re
 import time
 from collections import Counter
 from itertools import islice
@@ -15,7 +17,6 @@ from fliptet.sphere import (
     CycleInSphere,
     SphereTriangulation,
     bad_cycle_report,
-    bad_cycles,
     canonical_certificate,
     cone_decomposition,
     degree_histogram,
@@ -47,44 +48,48 @@ def random_glued(n, rng):
 
 def test_fixture_spheres_validate():
     for tau in (tetrahedron(), octahedron(), icosahedron(), bipyramid(5)):
-        assert tau.validate() is None
         assert tau.vertex_count - tau.edge_count() + tau.face_count() == 2
 
 
+def _rejects(v_count, faces, msg):
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        SphereTriangulation.of(v_count, faces)
+
+
 def test_validate_rejects_few_vertices():
-    bad = SphereTriangulation.of(3, [(0, 1, 2)])
-    assert "at least 4" in bad.validate()
+    _rejects(3, [(0, 1, 2)], "a sphere needs at least 4 vertices, got 3")
 
 
 def test_validate_rejects_edge_in_one_triangle():
-    bad = SphereTriangulation.of(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
-    assert "lies in 1 triangles" in bad.validate()
+    _rejects(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)], "edge (1, 2) lies in 1 triangles, expected 2")
 
 
 def test_validate_rejects_edge_in_three_triangles():
     faces = list(tetrahedron().triangles) + [(0, 1, 4), (0, 2, 4), (1, 2, 4)]
-    bad = SphereTriangulation.of(5, faces)
-    assert "3 triangles" in bad.validate()
+    _rejects(5, faces, "edge (0, 1) lies in 3 triangles, expected 2")
 
 
 def test_validate_rejects_pinched_vertex():
     # two tetrahedron boundaries sharing vertex 0 only
     faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
              (0, 4, 5), (0, 4, 6), (0, 5, 6), (4, 5, 6)]
-    bad = SphereTriangulation.of(7, faces)
-    assert "link of vertex 0" in bad.validate()
+    _rejects(7, faces, "the link of vertex 0 is not a single cycle")
 
 
 def test_validate_rejects_disjoint_spheres():
     faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
              (4, 5, 6), (4, 5, 7), (4, 6, 7), (5, 6, 7)]
-    bad = SphereTriangulation.of(8, faces)
-    assert "Euler" in bad.validate()
+    _rejects(8, faces, "Euler characteristic is 4, expected 2")
+    # a tetrahedron beside the 7-vertex torus: Euler characteristic 2 + 0
+    torus = [(4 + i, 4 + (i + 1) % 7, 4 + (i + 3) % 7) for i in range(7)]
+    torus += [(4 + i, 4 + (i + 2) % 7, 4 + (i + 3) % 7) for i in range(7)]
+    _rejects(11, faces[:4] + torus, "the triangle complex is disconnected")
 
 
 def test_validate_rejects_missing_vertex():
-    bad = SphereTriangulation.of(5, tetrahedron().triangles)
-    assert "vertex 4" in bad.validate()
+    _rejects(5, tetrahedron().triangles, "vertex 4 appears in no triangle")
+    _rejects(4, [(0, 0, 1)], "triangle (0, 0, 1) has repeated vertices")
+    _rejects(4, [(0, 1, 7)], "triangle (0, 1, 7) uses vertices outside 0..3")
 
 
 def test_glue_family_counts():
@@ -147,18 +152,20 @@ def test_hamiltonian_cycles_limit_and_validity():
     cycles = list(islice(hamiltonian_cycles(tau), 5))
     assert len(cycles) == 5
     for c in cycles:
-        assert c.validate() is None
         assert c.is_hamiltonian()
 
 
 def test_cycle_validation_errors():
-    tau = tetrahedron()
-    assert "at least 3" in CycleInSphere(tau, (0, 1)).validate()
-    assert "repeats" in CycleInSphere(tau, (0, 1, 0)).validate()
-    octa = octahedron()
-    # 0 and 5 are the nonadjacent apexes
-    msg = CycleInSphere(octa, (0, 5, 1)).validate()
-    assert msg.startswith("consecutive") and "not an edge" in msg
+    tau, octa = tetrahedron(), octahedron()
+    cases = [
+        (tau, (0, 1), "a cycle needs at least 3 vertices, got 2"),
+        (tau, (0, 1, 0), "the cycle repeats a vertex"),
+        # 0 and 5 are the nonadjacent apexes
+        (octa, (0, 5, 1), "consecutive cycle vertices 0 and 5 are not an edge of the sphere"),
+    ]
+    for sphere, verts, msg in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            CycleInSphere(sphere, verts)
 
 
 def test_cycle_sides_partition():
@@ -284,6 +291,29 @@ def test_recut_min_flip_time_budget_is_a_deadline(monkeypatch):
     assert elapsed < 1.25
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tau: list(hamiltonian_cycles(tau)),
+        lambda tau: list(islice(hamiltonian_cycles(tau), 3)),
+        bad_cycle_report,
+        recut_min_flip,
+    ],
+    ids=["hamiltonian_cycles", "hamiltonian_cycles-first-three", "bad_cycle_report", "recut_min_flip"],
+)
+def test_cycle_enumeration_leaves_no_reference_cycle(call):
+    # the enumeration state must go when the call returns, not wait for
+    # the cyclic collector
+    tau = glued_family(2)
+    gc.collect()
+    gc.disable()
+    try:
+        call(tau)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_bad_cycles_icosahedron_matches_brute_force():
     icosa = icosahedron()
     report = bad_cycle_report(icosa)
@@ -309,7 +339,7 @@ def test_bad_cycles_family_two_matches_brute_force():
 
 def test_bad_cycles_seamed_sphere():
     tau, seam = double_disk_sphere()
-    found = bad_cycles(tau)
+    found = bad_cycle_report(tau).bad
     assert len(found) == 1
     assert found[0].canonical() == seam.canonical()
     report = bad_cycle_report(tau)
@@ -394,9 +424,7 @@ def test_oriented_faces_are_coherent():
 
 def test_double_disk_sphere_structure():
     tau, seam = double_disk_sphere()
-    assert tau.validate() is None
     assert (tau.vertex_count, tau.edge_count(), tau.face_count()) == (27, 75, 50)
-    assert seam.validate() is None
     assert len(seam) == 5
     side_a, side_b = seam.sides()
     assert len(side_a) == len(side_b) == 25
