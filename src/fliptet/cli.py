@@ -96,6 +96,9 @@ def _cmd_recut(args) -> int:
         stop_at=args.stop_at,
         node_budget=args.node_budget,
     )
+    if res.distance is None and res.exhausted and args.stop_at is not None:
+        print(f"no recut at or below {args.stop_at}: all {res.cycles_tried} cycles refuted")
+        return FAILED
     if res.distance is None:
         print(f"no recut measured within budget after {res.cycles_tried} cycles")
         return OVER_BUDGET
@@ -295,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="recompute the headline quantities and report a table")
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--distance-max", type=int, default=4)
-    p.add_argument("--recut-max", type=int, default=3)
+    p.add_argument("--recut-max", type=int, default=12)
     p.add_argument("--lp-max-vertices", type=int, default=10)
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--tet-node-budget", type=int, default=2_000_000)

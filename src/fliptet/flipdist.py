@@ -217,31 +217,34 @@ def _bidirectional(
     return best, fore
 
 
+def _state(t: PolygonTriangulation) -> int:
+    bit = _bits(t.n)[1]
+    # distinct bits, so the sum is their union
+    return sum(bit[(1 << a) | (1 << b)] for a, b in t.diagonals)
+
+
 def _search_one(
-    t1: PolygonTriangulation,
-    t2: PolygonTriangulation,
-    budget: _Budget,
-    below: int | None = None,
+    n: int, source: int, target: int, budget: _Budget, below: int | None = None, start=None
 ) -> DistanceResult:
-    n = t1.n
-    ends, bit, _ = _bits(n)
-    # distinct bits, so each sum is their union
-    source = sum(bit[(1 << a) | (1 << b)] for a, b in t1.diagonals)
-    target = sum(bit[(1 << a) | (1 << b)] for a, b in t2.diagonals)
+    """One unsplit search between two int states of the n-gon; given the
+    source as the triangulation `start`, an exact answer carries its path."""
     stats = SearchStats()
     began = time.monotonic()
     spent = budget.nodes
+    floor = (source & ~target).bit_count()
     try:
         distance, steps = _bidirectional(n, source, target, budget, stats, below)
     except BudgetExceeded as exc:
-        lo = max(exc.lower_bound, lower_bound(t1, t2))
+        lo = max(exc.lower_bound, floor)
         result = DistanceResult(None, None, stats, status="budget", lower_bound=lo)
     else:
         if distance is None:
-            lo = max(below, lower_bound(t1, t2))
-            result = DistanceResult(None, None, stats, status="above", lower_bound=lo)
+            result = DistanceResult(None, None, stats, status="above", lower_bound=max(below, floor))
         else:
-            path = FlipPath(n, t1, tuple((ends[r], ends[i]) for r, i in steps))
+            path = None
+            if start is not None:
+                ends = _bits(n)[0]
+                path = FlipPath(n, start, tuple((ends[r], ends[i]) for r, i in steps))
             result = DistanceResult(distance, path, stats, lower_bound=distance)
     # the budget is shared across split regions; count this region's nodes
     stats.nodes = budget.nodes - spent
@@ -290,14 +293,15 @@ def flip_distance(
             return DistanceResult(None, None, SearchStats(), status="above")
         return DistanceResult(0, FlipPath(t1.n, t1, ()), SearchStats())
     if not use_splitting or not (t1.diagonals & t2.diagonals):
-        return _search_one(t1, t2, budget, below)
+        return _search_one(t1.n, _state(t1), _state(t2), budget, below, t1)
 
     begin = time.monotonic()
     stats = SearchStats()
     total = 0
     pieces = []
     for sub1, sub2, vmap in split_along(t1, t2):
-        res = _search_one(sub1, sub2, budget, None if below is None else below - total)
+        rest = None if below is None else below - total
+        res = _search_one(sub1.n, _state(sub1), _state(sub2), budget, rest, sub1)
         stats.merge(res.stats)
         if not res.exact:
             lo = total + res.lower_bound

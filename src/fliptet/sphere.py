@@ -13,6 +13,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterator
 
+from .flipdist import _bits
 from .polygon import PolygonTriangulation, pair
 
 Triangle = tuple[int, int, int]
@@ -239,9 +240,7 @@ def hamiltonian_cycles(tau: SphereTriangulation) -> Iterator[CycleInSphere]:
     enumeration is lazy: take the first k with `itertools.islice`.
     """
     nbrs = {v: sorted(ns) for v, ns in tau.neighbors().items()}
-    used = [False] * tau.vertex_count
-    used[0] = True
-    for verts in _hamiltonian_paths(nbrs, [0], used):
+    for verts in _hamiltonian_paths(nbrs, [0], [v == 0 for v in range(tau.vertex_count)]):
         yield CycleInSphere(tau, verts)
 
 
@@ -261,6 +260,36 @@ def _hamiltonian_paths(nbrs, path: list[int], used: list[bool]) -> Iterator[tupl
             used[w] = False
 
 
+def _cut(rot: dict[int, dict[int, int]], smallest: Triangle, verts: tuple[int, ...]) -> tuple[int, int]:
+    """The chords on each side of a Hamiltonian cycle, as flip-search states.
+
+    The rotation at verts[i], walked from verts[i+1] to verts[i-1], passes
+    one side's chords; each is the bit of the diagonal between its two
+    positions, from the smaller.  The side holding `smallest` comes first."""
+    n = len(verts)
+    bit = _bits(n)[1]
+    pos = {v: 1 << i for i, v in enumerate(verts)}
+    sides = [0, 0]
+    for i, v in enumerate(verts):
+        here, turn = 1 << i, rot[v]
+        nxt, prv = verts[(i + 1) % n], verts[i - 1]
+        side, w = 0, turn[nxt]
+        while w != nxt:
+            if w == prv:
+                side = 1
+            elif pos[w] > here:
+                sides[side] |= bit[here | pos[w]]
+            w = turn[w]
+    x, y, z = (pos[v] for v in smallest)
+    # on four or more vertices some edge of a triangle is a chord
+    chord = next(bit[m] for m in (x | y, x | z, y | z) if m in bit)
+    return (sides[0], sides[1]) if sides[0] & chord else (sides[1], sides[0])
+
+
+def _polygon(n: int, state: int) -> PolygonTriangulation:
+    return PolygonTriangulation.of(n, (d for b, d in _bits(n)[0].items() if state & b))
+
+
 def recut(
     tau: SphereTriangulation, cycle: CycleInSphere
 ) -> tuple[PolygonTriangulation, PolygonTriangulation, tuple[int, ...]]:
@@ -268,7 +297,8 @@ def recut(
 
     Position i of the returned labeling holds the sphere vertex that the
     polygon vertex i stands for; gluing the two triangulations back and
-    relabeling through it reproduces the sphere exactly.
+    relabeling through it reproduces the sphere exactly.  The half holding
+    the sphere's smallest triangle comes first.
     """
     if cycle.sphere != tau:
         raise ValueError("the cycle belongs to a different sphere")
@@ -276,20 +306,8 @@ def recut(
         raise ValueError(
             f"the cycle visits {len(cycle)} of {tau.vertex_count} vertices; recutting needs a Hamiltonian cycle"
         )
-    v_count = tau.vertex_count
-    pos = {v: i for i, v in enumerate(cycle.vertices)}
-
-    def to_polygon(side: frozenset[Triangle]) -> PolygonTriangulation:
-        diagonals = set()
-        for t in side:
-            for x, y in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-                i, j = pos[x], pos[y]
-                if (i - j) % v_count != 1 and (j - i) % v_count != 1:
-                    diagonals.add(pair(i, j))
-        return PolygonTriangulation.of(v_count, diagonals)
-
-    side_a, side_b = cycle.sides()
-    return to_polygon(side_a), to_polygon(side_b), cycle.vertices
+    a, b = _cut(_rotations(tau), min(tau.triangles), cycle.vertices)
+    return _polygon(tau.vertex_count, a), _polygon(tau.vertex_count, b), cycle.vertices
 
 
 @dataclass(frozen=True)
@@ -318,22 +336,24 @@ def recut_min_flip(
 
     The result is an upper bound for the minimal tetrahedral decomposition
     size.  Each recut only asks whether its distance is below the best so
-    far (`flip_distance(below=)`), so the first cycle reaching the minimum
-    is the one returned.  `stop_at` ends the enumeration early once a
-    recut at or below that distance is found (useful when a matching
-    lower bound is already known); `max_cycles` and the search budgets cap
-    the work, and the `exhausted` flag records whether the enumeration ran
-    to completion.
+    far, on the flip engine's int states, so the first cycle reaching the
+    minimum is the one returned, and the only one built as checked objects.
+    `stop_at` bounds every search at that distance and ends the enumeration
+    at the first recut within it; when none is, the distance is None and,
+    unless a budget stopped the work, every cycle is refuted and
+    `exhausted` is True.  `max_cycles` and the search budgets cap the work,
+    and `exhausted` records whether the enumeration ran to completion.
     """
-    from .flipdist import flip_distance
+    from .flipdist import _Budget, _search_one
 
+    v_count = tau.vertex_count
+    rot, smallest = _rotations(tau), min(tau.triangles)
+    nbrs = {v: sorted(ns) for v, ns in tau.neighbors().items()}
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    best = None
-    best_cycle = None
-    best_halves = None
+    best = best_verts = best_halves = None
     tried = nodes = refuted = 0
     exhausted = True
-    for cycle in hamiltonian_cycles(tau):
+    for verts in _hamiltonian_paths(nbrs, [0], [v == 0 for v in range(v_count)]):
         if max_cycles is not None and tried >= max_cycles:
             exhausted = False
             break
@@ -341,11 +361,13 @@ def recut_min_flip(
         if left is not None and left <= 0:
             exhausted = False
             break
-        half_a, half_b, _ = recut(tau, cycle)
+        half_a, half_b = _cut(rot, smallest, verts)
         tried += 1
-        # each search gets only the time left, so the whole call keeps to
-        # its budget; a stopped search returns no distance
-        res = flip_distance(half_a, half_b, node_budget=node_budget, time_budget=left, below=best)
+        # each search gets only the time left, and a stopped one returns no
+        # distance; with stop_at, an exact answer ends the loop, so stop_at + 1
+        # bounds every search
+        below = best if stop_at is None else stop_at + 1
+        res = _search_one(v_count, half_a, half_b, _Budget(node_budget, left), below)
         nodes += res.stats.nodes
         if res.status == "above":
             refuted += 1
@@ -354,13 +376,14 @@ def recut_min_flip(
             exhausted = False
             continue
         # an exact answer lies below the best so far
-        best = res.distance
-        best_cycle = cycle
-        best_halves = (half_a, half_b)
+        best, best_verts, best_halves = res.distance, verts, (half_a, half_b)
         if stop_at is not None and best <= stop_at:
             exhausted = False
             break
-    return RecutSearch(best, best_cycle, best_halves, tried, exhausted, nodes, refuted)
+    if best_verts is None:
+        return RecutSearch(None, None, None, tried, exhausted, nodes, refuted)
+    halves = tuple(_polygon(v_count, h) for h in best_halves)
+    return RecutSearch(best, CycleInSphere(tau, best_verts), halves, tried, exhausted, nodes, refuted)
 
 
 def _simple_cycles_up_to(tau: SphereTriangulation, max_len: int) -> Iterator[tuple[int, ...]]:

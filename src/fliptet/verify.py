@@ -68,7 +68,7 @@ def _timed(claim: str, n: int, expected: str, body) -> VerificationRow:
 def run_verification(
     n_max: int = 3,
     distance_max: int = 4,
-    recut_max: int = 3,
+    recut_max: int = 12,
     lp_max_vertices: int = 10,
     node_budget: int | None = None,
     tet_node_budget: int | None = 2_000_000,
@@ -171,8 +171,8 @@ def run_verification(
             if res.distance is not None and res.distance <= tets_expected:
                 return f"{res.distance} after trying {res.cycles_tried} cycle(s)", "pass"
             if res.exhausted:
-                return f"best recut needs {res.distance}", "fail"
-            return f"best so far {res.distance} after {res.cycles_tried} cycles", "bounded"
+                return f"no recut at or below {tets_expected}: all {res.cycles_tried} cycles refuted", "fail"
+            return f"none at or below {tets_expected} after {res.cycles_tried} cycles", "bounded"
 
         rows.append(
             _timed(

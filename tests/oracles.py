@@ -7,6 +7,9 @@ candidate insertion instead of computing the quadrilateral. The 1-norm
 bound comes from a floating-point HiGHS solve of every boundary equation.
 The minimum fill enumerates sets of 4-subsets by size and calls the
 library only to validate, as a ball, a set that meets the face parity.
+The recut search is the exception: its oracle is the per-cycle loop over
+checked objects that the int-state search replaced, so it calls the
+library's cycles, dual flood and flip search.
 """
 
 from __future__ import annotations
@@ -193,6 +196,57 @@ def brute_cycle_sides(triangles: set, cycle: tuple[int, ...]) -> list[set]:
         sides.append(comp)
         left -= comp
     return sides
+
+
+def halves_from_sides(cycle) -> tuple:
+    """A Hamiltonian cycle's two polygon halves from `CycleInSphere.sides()`.
+
+    Each side's chords, read in cycle positions, are its diagonals; the
+    side the dual flood reaches from the smallest triangle comes first.
+    """
+    from fliptet.polygon import PolygonTriangulation
+
+    k = len(cycle.vertices)
+    pos = {v: i for i, v in enumerate(cycle.vertices)}
+    halves = []
+    for side in cycle.sides():
+        pairs = {tuple(sorted((pos[x], pos[y]))) for t in side for x, y in combinations(t, 2)}
+        chords = {(i, j) for i, j in pairs if (j - i) % k not in (1, k - 1)}
+        halves.append(PolygonTriangulation.of(k, chords))
+    return tuple(halves)
+
+
+def oracle_recut_min_flip(tau, max_cycles=None, stop_at=None, node_budget=None):
+    """The recut search as a loop over checked objects.
+
+    Every cycle is a checked `CycleInSphere`, its halves come from the
+    dual flood, and `flip_distance(below=best)` asks whether it beats the
+    best so far; `stop_at` ends the loop at the first recut at or below it.
+    """
+    from fliptet.flipdist import flip_distance
+    from fliptet.sphere import RecutSearch, hamiltonian_cycles
+
+    best = best_cycle = best_halves = None
+    tried = nodes = refuted = 0
+    exhausted = True
+    for cycle in hamiltonian_cycles(tau):
+        if max_cycles is not None and tried >= max_cycles:
+            exhausted = False
+            break
+        halves = halves_from_sides(cycle)
+        tried += 1
+        res = flip_distance(*halves, node_budget=node_budget, below=best)
+        nodes += res.stats.nodes
+        if res.status == "above":
+            refuted += 1
+        elif res.distance is None:
+            exhausted = False
+        else:
+            best, best_cycle, best_halves = res.distance, cycle, halves
+            if stop_at is not None and best <= stop_at:
+                exhausted = False
+                break
+    return RecutSearch(best, best_cycle, best_halves, tried, exhausted, nodes, refuted)
 
 
 def brute_bad_cycles(v_count: int, triangles: set) -> tuple[set, int, int]:

@@ -123,7 +123,7 @@ def test_recut_search_reports_distance_and_cycle(sphere_file, capsys):
     assert lines[0] == "distance 7"
     assert lines[1].startswith("cycle ")
     assert lines[2].startswith("tried ")
-    assert lines[3] == "nodes 67 refuted 0"
+    assert lines[3] == "nodes 40 refuted 0"
 
 
 def test_recut_exhaustive_reports_nodes_and_refuted(sphere_file, capsys):
@@ -133,6 +133,13 @@ def test_recut_exhaustive_reports_nodes_and_refuted(sphere_file, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "distance 7"
     assert lines[2:] == ["tried 60 cycles (exhausted)", "nodes 666 refuted 59"]
+
+
+def test_recut_reports_a_refuted_enumeration(sphere_file, capsys):
+    # no recut of the n = 2 sphere needs fewer than 7 flips
+    code = main(["recut", "--sphere", str(sphere_file), "--stop-at", "6"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == ["no recut at or below 6: all 60 cycles refuted"]
 
 
 def test_recut_rejects_short_cycle(sphere_file, capsys):
@@ -260,3 +267,16 @@ def test_verify_ratio_comes_from_measured_rows():
     assert rows["ratio", 2].computed.startswith("1;")
     assert rows["flip-distance", 3].status == "bounded"
     assert rows["ratio", 3].status == "bounded"
+
+
+def test_verify_recut_row_fails_on_a_refuted_enumeration(monkeypatch):
+    # a search asked one flip below the row's bound refutes every cycle
+    import fliptet.verify as verify
+
+    real = verify.recut_min_flip
+    monkeypatch.setattr(
+        verify, "recut_min_flip", lambda tau, stop_at, **kw: real(tau, stop_at=stop_at - 1, **kw)
+    )
+    rows = {(r.claim, r.n): r for r in run_verification(n_max=2).rows}
+    row = rows["recut-bound", 2]
+    assert (row.computed, row.status) == ("no recut at or below 7: all 60 cycles refuted", "fail")

@@ -31,7 +31,12 @@ from fliptet.sphere import (
 )
 
 from fixtures import bipyramid, icosahedron, octahedron, tetrahedron
-from oracles import brute_bad_cycles, brute_hamiltonian_cycles
+from oracles import (
+    brute_bad_cycles,
+    brute_hamiltonian_cycles,
+    halves_from_sides,
+    oracle_recut_min_flip,
+)
 
 
 def glued_family(n):
@@ -261,25 +266,85 @@ def test_recut_min_flip_matches_brute_minimum():
         assert res.refuted == res.cycles_tried - improved
 
 
+def _relabeled_spheres(count=40):
+    # glued 6- to 9-gons under a random relabeling, so that the first
+    # cycles do not follow the gluing seam
+    rng = random.Random(7)
+    out = []
+    for _ in range(count):
+        n = rng.randrange(6, 10)
+        tau = random_glued(n, rng)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out.append(relabel(tau, perm))
+    return out
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{}, {"max_cycles": 5}, {"node_budget": 40}],
+    ids=["exhaustive", "max_cycles", "node_budget"],
+)
+def test_recut_min_flip_matches_object_loop(kwargs):
+    for tau in _relabeled_spheres():
+        assert recut_min_flip(tau, **kwargs) == oracle_recut_min_flip(tau, **kwargs)
+
+
+def test_rotation_cut_matches_dual_flood():
+    for tau in _relabeled_spheres():
+        for cycle in hamiltonian_cycles(tau):
+            assert recut(tau, cycle)[:2] == halves_from_sides(cycle)
+
+
+def test_recut_min_flip_stop_at_bounds_every_search():
+    # bounded at stop_at from the first cycle, the search returns the
+    # object loop's recut; it searches no more nodes, and refutes every
+    # cycle before the one it returns
+    cases = [(glued_family(n), 2 * n + 3) for n in (2, 3, 4)]
+    for tau in _relabeled_spheres(10):
+        least = recut_min_flip(tau).distance
+        cases += [(tau, least), (tau, least + 1)]
+    for tau, stop_at in cases:
+        loop = oracle_recut_min_flip(tau, stop_at=stop_at)
+        res = recut_min_flip(tau, stop_at=stop_at)
+        assert res.distance == loop.distance <= stop_at
+        assert (res.cycle, res.halves, res.cycles_tried, res.exhausted) == (
+            loop.cycle,
+            loop.halves,
+            loop.cycles_tried,
+            loop.exhausted,
+        )
+        assert res.nodes <= loop.nodes
+        assert res.refuted == res.cycles_tried - 1
+
+
+def test_recut_min_flip_refutes_every_cycle_below_the_minimum():
+    for tau in _relabeled_spheres(10):
+        least = recut_min_flip(tau).distance
+        res = recut_min_flip(tau, stop_at=least - 1)
+        assert (res.distance, res.cycle, res.halves) == (None, None, None)
+        assert res.exhausted
+        assert res.refuted == res.cycles_tried == sum(1 for _ in hamiltonian_cycles(tau))
+
+
 def test_recut_min_flip_time_budget_is_a_deadline(monkeypatch):
     # stand-in for recuts whose searches take 0.8 s each: a search given
     # less time than that uses all of it and runs out of budget
     import fliptet.flipdist as flipdist
 
-    real = flipdist.flip_distance
+    real = flipdist._search_one
     given = []
 
-    def slow_search(t1, t2, time_budget=None, **kwargs):
-        given.append(time_budget)
-        if time_budget is not None and time_budget < 0.8:
-            time.sleep(max(time_budget, 0.0))
-            return flipdist.DistanceResult(
-                None, None, flipdist.SearchStats(), status="budget"
-            )
+    def slow_search(n, source, target, budget, below=None):
+        left = budget.deadline - time.monotonic()
+        given.append(left)
+        if left < 0.8:
+            time.sleep(max(left, 0.0))
+            return flipdist.DistanceResult(None, None, flipdist.SearchStats(), status="budget")
         time.sleep(0.8)
-        return real(t1, t2, **kwargs)
+        return real(n, source, target, flipdist._Budget(budget.node_budget, None), below)
 
-    monkeypatch.setattr(flipdist, "flip_distance", slow_search)
+    monkeypatch.setattr(flipdist, "_search_one", slow_search)
     began = time.monotonic()
     res = recut_min_flip(glued_family(2), time_budget=1.0)
     elapsed = time.monotonic() - began
